@@ -27,7 +27,9 @@
 // at least four CPUs on both the current and the baseline host, since a
 // single-core runner cannot demonstrate pool scaling; -check warns loudly
 // when the committed baseline was produced on a single-CPU host, because
-// that renders the scaling gate permanently vacuous.
+// that renders the scaling gate permanently vacuous. Under GOMAXPROCS < 2
+// the run-table speedup is recorded as null (printed "n/a") and its gate is
+// skipped.
 package main
 
 import (
@@ -65,12 +67,22 @@ type SnapshotEntry struct {
 }
 
 // RunTableEntry is the bench harness's wall time for the full small-workload
-// table, serial vs a GOMAXPROCS-wide pool.
+// table, serial vs a GOMAXPROCS-wide pool. Speedup is null when GOMAXPROCS
+// is below 2: a one-wide "pool" cannot scale, so the ratio would only
+// measure noise.
 type RunTableEntry struct {
-	SerialNsPerOp   float64 `json:"serial_ns_per_op"`
-	ParallelNsPerOp float64 `json:"parallel_ns_per_op"`
-	Jobs            int     `json:"jobs"`
-	Speedup         float64 `json:"speedup"`
+	SerialNsPerOp   float64  `json:"serial_ns_per_op"`
+	ParallelNsPerOp float64  `json:"parallel_ns_per_op"`
+	Jobs            int      `json:"jobs"`
+	Speedup         *float64 `json:"speedup"`
+}
+
+// speedupText renders the run-table speedup, "n/a" when it is null.
+func (e RunTableEntry) speedupText() string {
+	if e.Speedup == nil {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2fx", *e.Speedup)
 }
 
 // SimEntry is the predecoded interpreter's raw rate on the dot-product
@@ -287,9 +299,11 @@ func measure() (Artifact, error) {
 		return a, err
 	}
 	a.RunTable = RunTableEntry{SerialNsPerOp: serial, ParallelNsPerOp: parallel, Jobs: jobs}
-	if parallel > 0 {
-		a.RunTable.Speedup = serial / parallel
+	if jobs >= 2 && parallel > 0 {
+		sp := serial / parallel
+		a.RunTable.Speedup = &sp
 	}
+	fmt.Fprintf(os.Stderr, "hotpath: runtable speedup %s (jobs=%d)\n", a.RunTable.speedupText(), jobs)
 
 	step, instrs, release, err := bench.SimStepper(m, wl)
 	if err != nil {
@@ -653,13 +667,17 @@ func check(cur, base Artifact) error {
 	// current run is instead held to an absolute floor, so the gate stays
 	// meaningful without demanding the baseline be regenerated.
 	switch {
-	case sameHost && cur.CPUs >= 4 && base.CPUs >= 4:
-		gate("runtable parallel speedup", cur.RunTable.Speedup, base.RunTable.Speedup)
+	case cur.RunTable.Speedup == nil:
+		fmt.Fprintf(os.Stderr,
+			"hotpath: parallel-scaling gate skipped: runtable speedup n/a (GOMAXPROCS=%d)\n",
+			cur.RunTable.Jobs)
+	case sameHost && cur.CPUs >= 4 && base.CPUs >= 4 && base.RunTable.Speedup != nil:
+		gate("runtable parallel speedup", *cur.RunTable.Speedup, *base.RunTable.Speedup)
 	case cur.CPUs >= 4:
-		if cur.RunTable.Speedup < parallelSpeedupFloor {
+		if *cur.RunTable.Speedup < parallelSpeedupFloor {
 			failures = append(failures, fmt.Sprintf(
 				"runtable parallel speedup %.2fx below the %.2fx absolute floor (%d CPUs, baseline measured on %d)",
-				cur.RunTable.Speedup, parallelSpeedupFloor, cur.CPUs, base.CPUs))
+				*cur.RunTable.Speedup, parallelSpeedupFloor, cur.CPUs, base.CPUs))
 		}
 	default:
 		fmt.Fprintf(os.Stderr,

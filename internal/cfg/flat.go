@@ -28,6 +28,8 @@ type FlatGraph struct {
 	// idom maps each reachable block to its immediate dominator (-1 when
 	// not computed; the entry maps to itself).
 	idom []int32
+	// post is the DFS postorder scratch, kept for Rebuild.
+	post []int32
 }
 
 // FlatSuccs appends block bi's successor indices to buf, in terminator
@@ -50,44 +52,66 @@ func FlatSuccs(f *rtl.FlatFn, bi int32, buf []int32) []int32 {
 // NewFlat computes predecessors, reverse postorder, and dominators for
 // function fi of fp.
 func NewFlat(fp *rtl.FlatProgram, fi int) *FlatGraph {
+	g := &FlatGraph{}
+	g.Rebuild(fp, fi)
+	return g
+}
+
+// Rebuild recomputes g for function fi of fp, reusing g's arrays when they
+// are large enough — the cheap way to refresh a graph made stale by block
+// or terminator edits.
+func (g *FlatGraph) Rebuild(fp *rtl.FlatProgram, fi int) {
 	f := &fp.Fns[fi]
 	nb := len(f.Blocks)
-	g := &FlatGraph{
-		P: fp, F: f, Fi: fi,
-		Preds:    make([][]int32, nb),
-		rpoIndex: make([]int32, nb),
-		idom:     make([]int32, nb),
+	g.P, g.F, g.Fi = fp, f, fi
+	if cap(g.Preds) < nb {
+		g.Preds = append(g.Preds[:cap(g.Preds)], make([][]int32, nb-cap(g.Preds))...)
 	}
-	for i := range g.rpoIndex {
-		g.rpoIndex[i] = -1
-		g.idom[i] = -1
+	g.Preds = g.Preds[:nb]
+	for i := range g.Preds {
+		g.Preds[i] = g.Preds[i][:0]
 	}
-	seen := make([]bool, nb)
-	post := make([]int32, 0, nb)
-	var dfs func(b int32)
-	dfs = func(b int32) {
-		seen[b] = true
-		// Per-frame successor buffer: the recursion below would clobber a
-		// shared one before the second successor is visited.
-		var sbuf [2]int32
-		for _, s := range FlatSuccs(f, b, sbuf[:0]) {
-			g.Preds[s] = append(g.Preds[s], b)
-			if !seen[s] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
+	g.rpoIndex = fill(g.rpoIndex, nb, -1)
+	g.idom = fill(g.idom, nb, -1)
+	g.post = g.post[:0]
 	if nb > 0 {
-		dfs(0)
+		g.dfs(0)
 	}
-	g.RPO = make([]int32, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		g.rpoIndex[post[i]] = int32(len(g.RPO))
-		g.RPO = append(g.RPO, post[i])
+	g.RPO = g.RPO[:0]
+	for i := len(g.post) - 1; i >= 0; i-- {
+		g.rpoIndex[g.post[i]] = int32(len(g.RPO))
+		g.RPO = append(g.RPO, g.post[i])
 	}
 	g.computeDominators()
-	return g
+}
+
+// dfs visits b and its unvisited successors depth first, in terminator
+// order, recording predecessors in discovery order and the postorder.
+// rpoIndex doubles as the visited mark (-2) until the numbering pass.
+func (g *FlatGraph) dfs(b int32) {
+	g.rpoIndex[b] = -2
+	// Per-frame successor buffer: the recursion below would clobber a
+	// shared one before the second successor is visited.
+	var sbuf [2]int32
+	for _, s := range FlatSuccs(g.F, b, sbuf[:0]) {
+		g.Preds[s] = append(g.Preds[s], b)
+		if g.rpoIndex[s] == -1 {
+			g.dfs(s)
+		}
+	}
+	g.post = append(g.post, b)
+}
+
+// fill returns s with length n and every element set to v.
+func fill(s []int32, n int, v int32) []int32 {
+	if cap(s) < n {
+		s = make([]int32, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // Reachable reports whether block bi is reachable from the entry.

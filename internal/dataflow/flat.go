@@ -25,13 +25,19 @@ type FlatDefUse struct {
 
 // ComputeFlatDefUse mirrors ComputeDefUse on the flat form.
 func ComputeFlatDefUse(f *rtl.FlatFn) *FlatDefUse {
+	du := &FlatDefUse{}
+	du.Compute(f)
+	return du
+}
+
+// Compute retabulates du for f, reusing du's arrays when they are large
+// enough.
+func (du *FlatDefUse) Compute(f *rtl.FlatFn) {
 	n := f.NumRegs()
-	du := &FlatDefUse{
-		defCount: make([]int32, n),
-		useCount: make([]int32, n),
-		single:   make([]FlatDefSite, n),
-		isParam:  make([]bool, n),
-	}
+	du.defCount = resize(du.defCount, n)
+	du.useCount = resize(du.useCount, n)
+	du.single = resize(du.single, n)
+	du.isParam = resize(du.isParam, n)
 	for _, p := range f.Params {
 		du.isParam[p] = true
 		du.defCount[p]++
@@ -50,7 +56,17 @@ func ComputeFlatDefUse(f *rtl.FlatFn) *FlatDefUse {
 			}
 		}
 	}
-	return du
+}
+
+// resize returns s with length n and every element zeroed, reallocating
+// only when its capacity is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // DefCount returns how many definitions register r has (parameters count
@@ -80,22 +96,34 @@ func (du *FlatDefUse) Immutable(r rtl.Reg) bool { return du.defCount[r] == 1 }
 type FlatLiveness struct {
 	liveIn  []BitSet
 	liveOut []BitSet
+
+	// Scratch kept for recomputation: per-block use/def sets and the one
+	// slab every set of a computation is carved from.
+	use, def []BitSet
+	slab     BitSet
 }
 
-// ComputeFlatLiveness runs the same iterative backward liveness as
-// ComputeLiveness, over a FlatGraph.
-func ComputeFlatLiveness(g *cfg.FlatGraph) *FlatLiveness {
+// Compute runs the same iterative backward liveness as ComputeLiveness,
+// over a FlatGraph, reusing lv's storage when it is large enough.
+func (lv *FlatLiveness) Compute(g *cfg.FlatGraph) {
 	f := g.F
 	n := f.NumRegs()
 	nb := len(f.Blocks)
-	lv := &FlatLiveness{
-		liveIn:  make([]BitSet, nb),
-		liveOut: make([]BitSet, nb),
+	words := (n + 63) / 64
+	lv.slab = resize(lv.slab, words*(4*nb+1))
+	off := 0
+	carve := func() BitSet {
+		s := lv.slab[off : off+words : off+words]
+		off += words
+		return s
 	}
-	use := make([]BitSet, nb)
-	def := make([]BitSet, nb)
+	lv.liveIn = resize(lv.liveIn, nb)
+	lv.liveOut = resize(lv.liveOut, nb)
+	lv.use = resize(lv.use, nb)
+	lv.def = resize(lv.def, nb)
+	use, def := lv.use, lv.def
 	for bi := range f.Blocks {
-		u, d := NewBitSet(n), NewBitSet(n)
+		u, d := carve(), carve()
 		b := &f.Blocks[bi]
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
 			f.SrcSlots(i, func(o *rtl.Operand) {
@@ -108,11 +136,11 @@ func ComputeFlatLiveness(g *cfg.FlatGraph) *FlatLiveness {
 			}
 		}
 		use[bi], def[bi] = u, d
-		lv.liveIn[bi] = NewBitSet(n)
-		lv.liveOut[bi] = NewBitSet(n)
+		lv.liveIn[bi] = carve()
+		lv.liveOut[bi] = carve()
 	}
 	changed := true
-	tmp := NewBitSet(n)
+	tmp := carve()
 	var sbuf [2]int32
 	for changed {
 		changed = false
@@ -133,7 +161,6 @@ func ComputeFlatLiveness(g *cfg.FlatGraph) *FlatLiveness {
 			}
 		}
 	}
-	return lv
 }
 
 // LiveOutSet returns the live-out set of block bi (shared, do not mutate).

@@ -384,12 +384,13 @@ func (info *Info) decompose(r rtl.Reg, depth int) (affine, bool) {
 }
 
 // splitIV separates an affine form into (single basic IV, its coefficient,
-// invariant remainder). It fails when zero or multiple IVs appear.
-func (info *Info) splitIV(a affine) (ivReg rtl.Reg, scale int64, rest affine, ok bool) {
+// invariant remainder), isIV naming the basic IVs. It fails when zero or
+// multiple IVs appear.
+func splitIV(a affine, isIV func(rtl.Reg) bool) (ivReg rtl.Reg, scale int64, rest affine, ok bool) {
 	rest = affine{terms: make(map[rtl.Reg]int64), c: a.c}
 	ivReg = rtl.NoReg
 	for r, co := range a.terms {
-		if info.BasicIVs[r] != nil {
+		if isIV(r) {
 			if ivReg != rtl.NoReg {
 				return rtl.NoReg, 0, affine{}, false
 			}
@@ -473,7 +474,7 @@ func (info *Info) StrengthReduce(f *rtl.Fn) []*PtrIV {
 			if !ok {
 				continue
 			}
-			ivReg, scale, rest, ok := info.splitIV(a)
+			ivReg, scale, rest, ok := splitIV(a, func(r rtl.Reg) bool { return info.BasicIVs[r] != nil })
 			if !ok {
 				continue
 			}
@@ -514,9 +515,9 @@ func (info *Info) StrengthReduce(f *rtl.Fn) []*PtrIV {
 		// Preheader: p = sum(coeff*term) + scale*iv  (constant folded out;
 		// it rides in each reference's displacement).
 		p := f.NewReg()
-		emit := func(in *rtl.Instr) { l.Preheader.Append(in) }
-		acc := info.emitAffineSum(f, emit, m.rest, m.ivReg, m.scale)
-		emit(rtl.MovI(p, acc))
+		emit := func(op rtl.Op, d rtl.Reg, a, b rtl.Operand) { l.Preheader.Append(rtl.BinI(op, d, a, b)) }
+		acc := emitAffineSum(f.NewReg, emit, m.rest, m.ivReg, m.scale)
+		l.Preheader.Append(rtl.MovI(p, acc))
 		// Latch: p += scale*step.
 		step := m.scale * iv.Step
 		l.Latch.Append(rtl.BinI(rtl.Add, p, rtl.R(p), rtl.C(step)))
@@ -530,9 +531,10 @@ func (info *Info) StrengthReduce(f *rtl.Fn) []*PtrIV {
 }
 
 // emitAffineSum materializes sum(coeff*term) + ivScale*iv into a register
-// via the emit callback (without the constant part) and returns an operand
-// holding the value.
-func (info *Info) emitAffineSum(f *rtl.Fn, emit func(*rtl.Instr), rest affine, ivReg rtl.Reg, ivScale int64) rtl.Operand {
+// via the emit callback (without the constant part), naming temporaries
+// with newReg, and returns an operand holding the value.
+func emitAffineSum(newReg func() rtl.Reg, emit func(op rtl.Op, d rtl.Reg, a, b rtl.Operand),
+	rest affine, ivReg rtl.Reg, ivScale int64) rtl.Operand {
 	type kv struct {
 		r rtl.Reg
 		c int64
@@ -550,15 +552,15 @@ func (info *Info) emitAffineSum(f *rtl.Fn, emit func(*rtl.Instr), rest affine, i
 		if e.c == 1 {
 			term = rtl.R(e.r)
 		} else {
-			t := f.NewReg()
-			emit(rtl.BinI(rtl.Mul, t, rtl.R(e.r), rtl.C(e.c)))
+			t := newReg()
+			emit(rtl.Mul, t, rtl.R(e.r), rtl.C(e.c))
 			term = rtl.R(t)
 		}
 		if acc.Kind == rtl.KindNone {
 			acc = term
 		} else {
-			t := f.NewReg()
-			emit(rtl.BinI(rtl.Add, t, acc, term))
+			t := newReg()
+			emit(rtl.Add, t, acc, term)
 			acc = rtl.R(t)
 		}
 	}

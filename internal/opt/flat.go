@@ -4,73 +4,17 @@ import (
 	"math/bits"
 
 	"macc/internal/cfg"
-	"macc/internal/dataflow"
 	"macc/internal/rtl"
 )
 
-// This file is the native flat-form port of the clean-up suite: every pass
-// here is a line-for-line twin of its pointer-graph counterpart in this
-// package, operating on FlatFn's dense arrays through the flat editing
+// This file and flatclean.go are the native flat-form port of the clean-up
+// suite: every pass is a line-for-line twin of its pointer-graph
+// counterpart in this package, operating on FlatFn's dense arrays through the flat editing
 // layer (in-place SetInstr rewrites, kill marks + one Compact sweep where
 // the graph pass rebuilds an instruction slice). The twins must stay
 // behaviorally identical — the differential tests pin flat-pipeline output
 // byte-identical to the graph pipeline — so any change to a graph pass in
 // opt.go/gdce.go/collapse.go/peephole.go/addrfold.go must land here too.
-
-// FlatClean runs the full clean-up pipeline to a bounded fixpoint on the
-// flat form, mirroring Clean's exact pass order.
-func FlatClean(fp *rtl.FlatProgram, fi int) bool {
-	changedEver := false
-	for i := 0; i < 8; i++ {
-		changed := false
-		changed = FlatRemoveUnreachable(fp, fi) || changed
-		changed = FlatFoldConstants(fp, fi) || changed
-		changed = FlatPropagateLocal(fp, fi) || changed
-		changed = FlatPropagateImmutable(fp, fi) || changed
-		changed = FlatLocalCSE(fp, fi) || changed
-		changed = FlatCollapseMovChains(fp, fi) || changed
-		changed = FlatPeephole(fp, fi) || changed
-		changed = FlatDeadCodeElim(fp, fi) || changed
-		changed = FlatGlobalDCE(fp, fi) || changed
-		changed = FlatEliminateDeadIVs(fp, fi) || changed
-		if !changed {
-			break
-		}
-		changedEver = true
-	}
-	return changedEver
-}
-
-// FlatRemoveUnreachable drops blocks unreachable from the entry.
-func FlatRemoveUnreachable(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	g := cfg.NewFlat(fp, fi)
-	keep := make([]bool, len(f.Blocks))
-	n := 0
-	for bi := range f.Blocks {
-		if g.Reachable(int32(bi)) {
-			keep[bi] = true
-			n++
-		}
-	}
-	if n == len(f.Blocks) {
-		return false
-	}
-	f.RemoveBlocks(keep)
-	return true
-}
-
-// FlatFoldConstants mirrors FoldConstants.
-func FlatFoldConstants(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	changed := false
-	for i := int32(0); i < int32(len(f.Op)); i++ {
-		if flatFoldInstr(f, i) {
-			changed = true
-		}
-	}
-	return changed
-}
 
 func flatFoldInstr(f *rtl.FlatFn, i int32) bool {
 	a, aok := f.A[i].IsConst()
@@ -186,309 +130,6 @@ func flatFoldInstr(f *rtl.FlatFn, i int32) bool {
 	return false
 }
 
-// FlatPropagateLocal mirrors PropagateLocal.
-func FlatPropagateLocal(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	changed := false
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
-		val := make(map[rtl.Reg]rtl.Operand) // reg -> known const or copy source
-		for i := b.InstrStart; i < b.InstrEnd; i++ {
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				if r, ok := o.IsReg(); ok {
-					if v, ok := val[r]; ok {
-						*o = v
-						changed = true
-					}
-				}
-			})
-			if d, ok := f.Def(i); ok {
-				// Kill anything that referenced the redefined register.
-				delete(val, d)
-				for r, v := range val {
-					if vr, ok := v.IsReg(); ok && vr == d {
-						delete(val, r)
-					}
-				}
-				if f.Op[i] == rtl.Mov {
-					if _, isC := f.A[i].IsConst(); isC {
-						val[d] = f.A[i]
-					} else if sr, ok := f.A[i].IsReg(); ok && sr != d {
-						val[d] = f.A[i]
-					}
-				}
-			}
-		}
-	}
-	return changed
-}
-
-// FlatPropagateImmutable mirrors PropagateImmutable.
-func FlatPropagateImmutable(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	du := dataflow.ComputeFlatDefUse(f)
-	g := cfg.NewFlat(fp, fi)
-	changed := false
-	for bi := range f.Blocks {
-		if !g.Reachable(int32(bi)) {
-			continue
-		}
-		b := &f.Blocks[bi]
-		for i := b.InstrStart; i < b.InstrEnd; i++ {
-			idx := i - b.InstrStart
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				r, ok := o.IsReg()
-				if !ok {
-					return
-				}
-				site, ok := du.SingleDef(r)
-				if !ok || f.Op[site.Instr] != rtl.Mov {
-					return
-				}
-				var repl rtl.Operand
-				if c, isC := f.A[site.Instr].IsConst(); isC {
-					repl = rtl.C(c)
-				} else if sr, isR := f.A[site.Instr].IsReg(); isR && du.Immutable(sr) {
-					repl = rtl.R(sr)
-				} else {
-					return
-				}
-				if !flatDominatesUse(g, site, int32(bi), idx) {
-					return
-				}
-				*o = repl
-				changed = true
-			})
-		}
-	}
-	return changed
-}
-
-func flatDominatesUse(g *cfg.FlatGraph, site dataflow.FlatDefSite, useBlock, useIdx int32) bool {
-	if site.Block == useBlock {
-		return site.Index < useIdx
-	}
-	return g.Dominates(site.Block, useBlock)
-}
-
-// FlatLocalCSE mirrors LocalCSE. Availability is tracked with a
-// register-indexed kill list instead of a full map sweep per definition:
-// killing a register visits only the entries that mention it, which turns
-// the graph pass's O(defs x available) behaviour into O(defs + mentions)
-// without changing which expressions are considered available.
-func FlatLocalCSE(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	type key struct {
-		op      rtl.Op
-		a, b, c rtl.Operand
-		w       rtl.Width
-		signed  bool
-		disp    int64
-	}
-	type entry struct {
-		k    key
-		r    rtl.Reg
-		dead bool
-	}
-	var (
-		entries []entry
-		loads   []int32 // entry indices holding Load expressions
-	)
-	avail := make(map[key]int32)
-	byReg := make([][]int32, f.NumRegs())
-	retire := func(idx int32) {
-		e := &entries[idx]
-		if !e.dead {
-			e.dead = true
-			delete(avail, e.k)
-		}
-	}
-	kill := func(d rtl.Reg) {
-		lst := byReg[d]
-		byReg[d] = lst[:0]
-		for _, idx := range lst {
-			retire(idx)
-		}
-	}
-	changed := false
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
-		for i := b.InstrStart; i < b.InstrEnd; i++ {
-			switch f.Op[i] {
-			case rtl.Store, rtl.Call:
-				// Conservatively kill remembered loads.
-				for _, idx := range loads {
-					retire(idx)
-				}
-				loads = loads[:0]
-			}
-			d, hasDef := f.Def(i)
-			if !hasDef {
-				continue
-			}
-			op := f.Op[i]
-			pure := op.IsBinary() || op == rtl.Neg || op == rtl.Not ||
-				op == rtl.Extract || op == rtl.Insert || op == rtl.Load
-			if !pure {
-				kill(d)
-				continue
-			}
-			k := key{op: op, a: f.A[i], b: f.B[i], c: f.C[i], w: f.Width[i], signed: f.Signed[i], disp: f.Disp[i]}
-			if idx, ok := avail[k]; ok && entries[idx].r != d {
-				in := rtl.MkInstr(rtl.Mov)
-				in.Dst = d
-				in.A = rtl.R(entries[idx].r)
-				f.SetInstr(i, in)
-				kill(d)
-				changed = true
-				continue
-			}
-			kill(d)
-			// Self-referential defs (r = r + 1) are not available afterwards.
-			if !f.UsesReg(i, d) {
-				idx := int32(len(entries))
-				entries = append(entries, entry{k: k, r: d})
-				avail[k] = idx
-				byReg[d] = append(byReg[d], idx)
-				for _, o := range [...]rtl.Operand{k.a, k.b, k.c} {
-					if r, ok := o.IsReg(); ok {
-						byReg[r] = append(byReg[r], idx)
-					}
-				}
-				if op == rtl.Load {
-					loads = append(loads, idx)
-				}
-			}
-		}
-		// Availability is block-local: drop every entry and clear only the
-		// kill lists this block touched, keeping their capacity for reuse.
-		for idx := range entries {
-			e := &entries[idx]
-			byReg[e.r] = byReg[e.r][:0]
-			for _, o := range [...]rtl.Operand{e.k.a, e.k.b, e.k.c} {
-				if r, ok := o.IsReg(); ok {
-					byReg[r] = byReg[r][:0]
-				}
-			}
-		}
-		entries = entries[:0]
-		loads = loads[:0]
-		clear(avail)
-	}
-	return changed
-}
-
-// FlatCollapseMovChains mirrors CollapseMovChains: the fused temporary is
-// overwritten with a Nop kill-mark exactly as the graph pass does, and one
-// Compact sweep at the end drops the marks the graph pass filters per block.
-func FlatCollapseMovChains(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	defCount := make([]int, f.NumRegs())
-	useCount := make([]int, f.NumRegs())
-	for i := int32(0); i < int32(len(f.Op)); i++ {
-		if d, ok := f.Def(i); ok {
-			defCount[d]++
-		}
-		f.SrcSlots(i, func(o *rtl.Operand) {
-			if o.Kind == rtl.KindReg {
-				useCount[o.Reg]++
-			}
-		})
-	}
-	for _, p := range f.Params {
-		defCount[p]++
-	}
-
-	changed := false
-	kill := make([]bool, len(f.Op))
-	anyKill := false
-	for bi := range f.Blocks {
-		b := &f.Blocks[bi]
-		defAt := make(map[rtl.Reg]int32) // reg -> absolute index of def within this block
-		for i := b.InstrStart; i < b.InstrEnd; i++ {
-			if f.Op[i] == rtl.Mov {
-				if t, ok := f.A[i].IsReg(); ok && defCount[t] == 1 && useCount[t] == 1 {
-					if di, here := defAt[t]; here && flatMovable(f, di, i, f.Dst[i]) {
-						if flatFusable(f, di) {
-							nd := f.Dst[i]
-							def := f.Instr(di)
-							def.Dst = nd
-							f.SetInstr(i, def)
-							f.SetInstr(di, rtl.MkInstr(rtl.Nop))
-							changed = true
-						}
-					}
-				}
-			}
-			if d, ok := f.Def(i); ok {
-				defAt[d] = i
-			}
-		}
-		if changed {
-			for i := b.InstrStart; i < b.InstrEnd; i++ {
-				if f.Op[i] == rtl.Nop {
-					kill[i] = true
-					anyKill = true
-				}
-			}
-		}
-	}
-	if anyKill {
-		f.Compact(kill)
-	}
-	return changed
-}
-
-// flatFusable mirrors fusable for the instruction at index i.
-func flatFusable(f *rtl.FlatFn, i int32) bool {
-	switch f.Op[i] {
-	case rtl.Mov, rtl.Neg, rtl.Not, rtl.Extract, rtl.Insert:
-		return true
-	}
-	return f.Op[i].IsBinary()
-}
-
-// flatMovable mirrors movable over absolute indices di..j in one block.
-func flatMovable(f *rtl.FlatFn, di, j int32, v rtl.Reg) bool {
-	var srcs []rtl.Reg
-	f.SrcSlots(di, func(o *rtl.Operand) {
-		if o.Kind == rtl.KindReg {
-			srcs = append(srcs, o.Reg)
-		}
-	})
-	for k := di + 1; k < j; k++ {
-		if d, ok := f.Def(k); ok {
-			if d == v {
-				return false
-			}
-			for _, s := range srcs {
-				if d == s {
-					return false
-				}
-			}
-		}
-		if f.UsesReg(k, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// FlatPeephole mirrors Peephole.
-func FlatPeephole(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	changed := false
-	for i := int32(0); i < int32(len(f.Op)); i++ {
-		if flatReduceInstr(f, i) {
-			changed = true
-		}
-	}
-	if flatSimplifyBranches(f) {
-		changed = true
-	}
-	return changed
-}
-
 func flatReduceInstr(f *rtl.FlatFn, i int32) bool {
 	cOf := func(o rtl.Operand) (int64, bool) {
 		v, ok := o.IsConst()
@@ -529,192 +170,6 @@ func flatReduceInstr(f *rtl.FlatFn, i int32) bool {
 		}
 	}
 	return false
-}
-
-func flatSimplifyBranches(f *rtl.FlatFn) bool {
-	du := dataflow.ComputeFlatDefUse(f)
-	changed := false
-	for bi := range f.Blocks {
-		ti, op, ok := f.TermIdx(int32(bi))
-		if !ok || op != rtl.Branch {
-			continue
-		}
-		condReg, ok := f.A[ti].IsReg()
-		if !ok {
-			continue
-		}
-		site, ok := du.SingleDef(condReg)
-		if !ok || site.Block != int32(bi) || du.UseCount(condReg) != 1 {
-			continue
-		}
-		def := site.Instr
-		zeroCmp := func() (rtl.Operand, bool) {
-			if v, isC := f.B[def].IsConst(); isC && v == 0 {
-				return f.A[def], true
-			}
-			return rtl.Operand{}, false
-		}
-		switch f.Op[def] {
-		case rtl.SetNE:
-			// branch (x != 0) T F  =>  branch x T F
-			if x, ok := zeroCmp(); ok {
-				f.A[ti] = x
-				f.SetInstr(def, rtl.MkInstr(rtl.Nop))
-				changed = true
-			}
-		case rtl.SetEQ:
-			// branch (x == 0) T F  =>  branch x F T
-			if x, ok := zeroCmp(); ok {
-				f.A[ti] = x
-				f.Target[ti], f.Else[ti] = f.Else[ti], f.Target[ti]
-				f.SetInstr(def, rtl.MkInstr(rtl.Nop))
-				changed = true
-			}
-		}
-	}
-	if changed {
-		kill := make([]bool, len(f.Op))
-		for i := range f.Op {
-			if f.Op[i] == rtl.Nop {
-				kill[i] = true
-			}
-		}
-		f.Compact(kill)
-	}
-	return changed
-}
-
-// FlatDeadCodeElim mirrors DeadCodeElim.
-func FlatDeadCodeElim(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	changedEver := false
-	for {
-		use := make([]int, f.NumRegs())
-		for i := int32(0); i < int32(len(f.Op)); i++ {
-			f.SrcSlots(i, func(o *rtl.Operand) {
-				if o.Kind == rtl.KindReg {
-					use[o.Reg]++
-				}
-			})
-		}
-		kill := make([]bool, len(f.Op))
-		changed := false
-		for i := int32(0); i < int32(len(f.Op)); i++ {
-			if d, ok := f.Def(i); ok && use[d] == 0 && flatSideEffectFree(f.Op[i]) {
-				kill[i] = true
-				changed = true
-			}
-		}
-		if !changed {
-			return changedEver
-		}
-		f.Compact(kill)
-		changedEver = true
-	}
-}
-
-func flatSideEffectFree(op rtl.Op) bool {
-	switch op {
-	case rtl.Store, rtl.Call, rtl.Jump, rtl.Branch, rtl.Ret:
-		return false
-	}
-	return true
-}
-
-// FlatGlobalDCE mirrors GlobalDCE: liveness-based removal, iterated to a
-// fixpoint, skipping unreachable blocks.
-func FlatGlobalDCE(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	changedEver := false
-	for {
-		g := cfg.NewFlat(fp, fi)
-		lv := dataflow.ComputeFlatLiveness(g)
-		changed := false
-		kill := make([]bool, len(f.Op))
-		for bi := range f.Blocks {
-			if !g.Reachable(int32(bi)) {
-				continue
-			}
-			b := &f.Blocks[bi]
-			live := lv.LiveOutSet(int32(bi)).Clone()
-			for i := b.InstrEnd - 1; i >= b.InstrStart; i-- {
-				d, hasDef := f.Def(i)
-				if hasDef && !live.Has(int(d)) && flatSideEffectFree(f.Op[i]) {
-					kill[i] = true
-					changed = true
-					continue
-				}
-				if hasDef {
-					live.Clear(int(d))
-				}
-				f.SrcSlots(i, func(o *rtl.Operand) {
-					if o.Kind == rtl.KindReg {
-						live.Set(int(o.Reg))
-					}
-				})
-			}
-		}
-		if !changed {
-			return changedEver
-		}
-		f.Compact(kill)
-		changedEver = true
-	}
-}
-
-// FlatEliminateDeadIVs mirrors EliminateDeadIVs.
-func FlatEliminateDeadIVs(fp *rtl.FlatProgram, fi int) bool {
-	f := &fp.Fns[fi]
-	n := f.NumRegs()
-	selfOnly := make([]bool, n) // candidate: all uses are self-updates
-	for i := range selfOnly {
-		selfOnly[i] = true
-	}
-	for i := int32(0); i < int32(len(f.Op)); i++ {
-		d, hasDef := f.Def(i)
-		f.SrcSlots(i, func(o *rtl.Operand) {
-			if o.Kind != rtl.KindReg {
-				return
-			}
-			r := o.Reg
-			// A use is harmless only if this instruction redefines the
-			// same register as a pure self-update.
-			if !(hasDef && d == r && flatIsSelfUpdate(f, i, r)) {
-				selfOnly[r] = false
-			}
-		})
-	}
-	kill := make([]bool, len(f.Op))
-	changed := false
-	for i := int32(0); i < int32(len(f.Op)); i++ {
-		if d, ok := f.Def(i); ok && selfOnly[d] && flatIsSelfUpdate(f, i, d) {
-			kill[i] = true
-			changed = true
-		}
-	}
-	if changed {
-		f.Compact(kill)
-	}
-	return changed
-}
-
-func flatIsSelfUpdate(f *rtl.FlatFn, i int32, r rtl.Reg) bool {
-	op := f.Op[i]
-	if op != rtl.Add && op != rtl.Sub && op != rtl.Mov {
-		return false
-	}
-	d, ok := f.Def(i)
-	if !ok || d != r {
-		return false
-	}
-	// Every register operand must be r itself.
-	pure := true
-	f.SrcSlots(i, func(o *rtl.Operand) {
-		if or, ok := o.IsReg(); ok && or != r {
-			pure = false
-		}
-	})
-	return pure
 }
 
 // FlatThreadJumps mirrors ThreadJumps: redirect edges through jump-only
@@ -884,4 +339,71 @@ func flatNormalizeBlock(f *rtl.FlatFn, bi int32) bool {
 func flatSameInstr(f *rtl.FlatFn, i int32, in rtl.FlatInstr) bool {
 	return f.Op[i] == in.Op && f.Dst[i] == in.Dst && f.A[i] == in.A && f.B[i] == in.B &&
 		f.C[i] == in.C && f.Width[i] == in.Width && f.Signed[i] == in.Signed && f.Disp[i] == in.Disp
+}
+
+// FlatHoistInvariants mirrors HoistInvariants for loop l of function fi.
+// Each sweep marks the hoisted instructions, compacts them out of the loop
+// and splices them, in sweep order, before the preheader's terminator — the
+// same sequence of Block.Append calls the graph pass makes, since the
+// preheader lies outside the loop and hoisting never moves a call.
+func FlatHoistInvariants(fp *rtl.FlatProgram, fi int, l *cfg.FlatLoop) bool {
+	if l.Preheader < 0 {
+		return false
+	}
+	f := &fp.Fns[fi]
+	defsInLoop := make([]int32, f.NumRegs())
+	for _, bi := range l.Blocks {
+		b := &f.Blocks[bi]
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
+			if d, ok := f.Def(i); ok {
+				defsInLoop[d]++
+			}
+		}
+	}
+	hoistable := func(i int32) bool {
+		switch op := f.Op[i]; op {
+		case rtl.Mov, rtl.Neg, rtl.Not, rtl.Extract, rtl.Insert:
+		case rtl.Div, rtl.Rem:
+			if c, ok := f.B[i].IsConst(); !ok || c == 0 {
+				return false
+			}
+		default:
+			if !op.IsBinary() {
+				return false
+			}
+		}
+		invariant := true
+		f.SrcSlots(i, func(o *rtl.Operand) {
+			if o.Kind == rtl.KindReg && defsInLoop[o.Reg] != 0 {
+				invariant = false
+			}
+		})
+		return invariant
+	}
+	changed := false
+	var kill []bool
+	var moved []rtl.FlatInstr
+	for {
+		moved = moved[:0]
+		for _, bi := range l.Blocks {
+			b := &f.Blocks[bi]
+			for i := b.InstrStart; i < b.InstrEnd; i++ {
+				if d, ok := f.Def(i); ok && defsInLoop[d] == 1 && hoistable(i) {
+					if kill == nil {
+						kill = make([]bool, len(f.Op))
+					}
+					kill[i] = true
+					moved = append(moved, f.Instr(i))
+					defsInLoop[d] = 0
+				}
+			}
+		}
+		if len(moved) == 0 {
+			return changed
+		}
+		changed = true
+		f.Compact(kill)
+		clear(kill)
+		f.AppendInstr(l.Preheader, moved...)
+	}
 }

@@ -217,15 +217,16 @@ func spliceSlice[T any](s *[]T, at, del int32, n int) {
 	*s = old
 }
 
-// AppendInstr inserts in before block bi's terminator when one exists (the
-// flat Block.Append), otherwise at the block's end.
-func (f *FlatFn) AppendInstr(bi int32, in FlatInstr) {
+// AppendInstr inserts ins, in order, before block bi's terminator when one
+// exists (the flat Block.Append of each in turn), otherwise at the block's
+// end.
+func (f *FlatFn) AppendInstr(bi int32, ins ...FlatInstr) {
 	b := &f.Blocks[bi]
 	rel := b.InstrEnd - b.InstrStart
 	if _, _, ok := f.termOf(b); ok {
 		rel--
 	}
-	f.SpliceInstrs(bi, rel, 0, []FlatInstr{in})
+	f.SpliceInstrs(bi, rel, 0, ins)
 }
 
 // Compact removes every instruction whose kill mark is set — the one

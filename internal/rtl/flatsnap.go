@@ -25,32 +25,33 @@ func NewFlatSnapshot(p *FlatProgram, fi int) *FlatSnapshot {
 	return s
 }
 
+// capture copies the live function into the image, reusing the image's
+// arrays: the live function never aliases them (Restore writes out fresh
+// copies), so overwriting them in place is safe.
 func (s *FlatSnapshot) capture() {
-	f := &s.p.Fns[s.fi]
-	s.img = FlatFn{
-		Name:       f.Name,
-		Params:     append([]Reg(nil), f.Params...),
-		FrameBytes: f.FrameBytes,
-		FrameReg:   f.FrameReg,
-		NextReg:    f.NextReg,
-		NextBlk:    f.NextBlk,
-		Blocks:     append([]FlatBlock(nil), f.Blocks...),
-		Succs:      append([]int32(nil), f.Succs...),
-		Preds:      append([]int32(nil), f.Preds...),
-		Op:         append([]Op(nil), f.Op...),
-		Dst:        append([]Reg(nil), f.Dst...),
-		A:          append([]Operand(nil), f.A...),
-		B:          append([]Operand(nil), f.B...),
-		C:          append([]Operand(nil), f.C...),
-		Width:      append([]Width(nil), f.Width...),
-		Signed:     append([]bool(nil), f.Signed...),
-		Disp:       append([]int64(nil), f.Disp...),
-		Target:     append([]int32(nil), f.Target...),
-		Else:       append([]int32(nil), f.Else...),
-		CallIdx:    append([]int32(nil), f.CallIdx...),
-		Calls:      append([]FlatCall(nil), f.Calls...),
-		Args:       append([]Operand(nil), f.Args...),
-	}
+	f, img := &s.p.Fns[s.fi], &s.img
+	img.Name = f.Name
+	img.Params = append(img.Params[:0], f.Params...)
+	img.FrameBytes = f.FrameBytes
+	img.FrameReg = f.FrameReg
+	img.NextReg = f.NextReg
+	img.NextBlk = f.NextBlk
+	img.Blocks = append(img.Blocks[:0], f.Blocks...)
+	img.Succs = append(img.Succs[:0], f.Succs...)
+	img.Preds = append(img.Preds[:0], f.Preds...)
+	img.Op = append(img.Op[:0], f.Op...)
+	img.Dst = append(img.Dst[:0], f.Dst...)
+	img.A = append(img.A[:0], f.A...)
+	img.B = append(img.B[:0], f.B...)
+	img.C = append(img.C[:0], f.C...)
+	img.Width = append(img.Width[:0], f.Width...)
+	img.Signed = append(img.Signed[:0], f.Signed...)
+	img.Disp = append(img.Disp[:0], f.Disp...)
+	img.Target = append(img.Target[:0], f.Target...)
+	img.Else = append(img.Else[:0], f.Else...)
+	img.CallIdx = append(img.CallIdx[:0], f.CallIdx...)
+	img.Calls = append(img.Calls[:0], f.Calls...)
+	img.Args = append(img.Args[:0], f.Args...)
 	s.nsyms = len(s.p.Syms)
 }
 

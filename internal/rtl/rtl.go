@@ -241,9 +241,16 @@ func (in *Instr) Def() (Reg, bool) {
 // actually uses, enabling in-place substitution by optimization passes.
 func (in *Instr) SrcOperands() []*Operand {
 	var ops []*Operand
+	in.eachSrc(func(o *Operand) { ops = append(ops, o) })
+	return ops
+}
+
+// eachSrc calls fn on every present source operand slot, in SrcOperands
+// order, without building the slice.
+func (in *Instr) eachSrc(fn func(o *Operand)) {
 	add := func(o *Operand) {
 		if o.Kind != KindNone {
-			ops = append(ops, o)
+			fn(o)
 		}
 	}
 	switch in.Op {
@@ -270,27 +277,27 @@ func (in *Instr) SrcOperands() []*Operand {
 		add(&in.A)
 		add(&in.B)
 	}
-	return ops
 }
 
 // Uses appends the registers read by the instruction to dst and returns it.
 func (in *Instr) Uses(dst []Reg) []Reg {
-	for _, o := range in.SrcOperands() {
-		if r, ok := o.IsReg(); ok {
-			dst = append(dst, r)
+	in.eachSrc(func(o *Operand) {
+		if o.Kind == KindReg {
+			dst = append(dst, o.Reg)
 		}
-	}
+	})
 	return dst
 }
 
 // UsesReg reports whether the instruction reads register r.
 func (in *Instr) UsesReg(r Reg) bool {
-	for _, o := range in.SrcOperands() {
-		if rr, ok := o.IsReg(); ok && rr == r {
-			return true
+	used := false
+	in.eachSrc(func(o *Operand) {
+		if o.Kind == KindReg && o.Reg == r {
+			used = true
 		}
-	}
-	return false
+	})
+	return used
 }
 
 // ReplaceUses substitutes every use of register from with operand to and

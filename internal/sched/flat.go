@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"sync"
+
 	"macc/internal/machine"
 	"macc/internal/rtl"
 )
@@ -8,16 +10,18 @@ import (
 // Flat entry points for the list scheduler. Rather than re-deriving the
 // dependence DAG over arrays (and risking a divergent schedule), a block
 // body is decoded into a reusable scratch slab of rtl.Instr values and fed
-// through the exact buildDAG/order/makespan used by the graph path — the
+// through the exact DAG build/order/makespan used by the graph path — the
 // permutation is then scattered back into the dense arrays. Decode+scatter
 // is linear and allocation-free once the scratch is warm, and the resulting
 // schedules are identical to Schedule's by construction.
 
-// FlatScratch holds reusable decode buffers for flat scheduling calls.
+// FlatScratch holds reusable decode buffers and DAG arrays for flat
+// scheduling calls.
 type FlatScratch struct {
 	instrs []rtl.Instr
 	views  []*rtl.Instr
 	fis    []rtl.FlatInstr
+	dag    dag
 }
 
 // decodeBody materializes block bi's body (terminator excluded) into the
@@ -58,9 +62,7 @@ func (sc *FlatScratch) decodeBody(f *rtl.FlatFn, bi int32) ([]*rtl.Instr, int32)
 // EstimateFlat is Estimate for block bi of a flat function.
 func EstimateFlat(f *rtl.FlatFn, bi int32, m *machine.Machine, sc *FlatScratch) int {
 	body, ti := sc.decodeBody(f, bi)
-	nodes := buildDAG(body, &m.Sched)
-	ord := order(nodes)
-	cycles := makespan(nodes, ord, &m.Sched, m.Pipelined)
+	_, _, cycles := sc.dag.schedule(body, m)
 	if ti >= 0 {
 		var term rtl.Instr
 		term.Op = f.Op[ti]
@@ -73,9 +75,7 @@ func EstimateFlat(f *rtl.FlatFn, bi int32, m *machine.Machine, sc *FlatScratch) 
 // the dense arrays according to the list schedule.
 func ScheduleFlat(f *rtl.FlatFn, bi int32, m *machine.Machine, sc *FlatScratch) int {
 	body, ti := sc.decodeBody(f, bi)
-	nodes := buildDAG(body, &m.Sched)
-	ord := order(nodes)
-	cycles := makespan(nodes, ord, &m.Sched, m.Pipelined)
+	_, ord, cycles := sc.dag.schedule(body, m)
 	b := &f.Blocks[bi]
 	n := len(body)
 	if cap(sc.fis) < n {
@@ -96,11 +96,15 @@ func ScheduleFlat(f *rtl.FlatFn, bi int32, m *machine.Machine, sc *FlatScratch) 
 	return cycles
 }
 
-// ScheduleFlatFn schedules every block of flat function fi.
+var scratches = sync.Pool{New: func() any { return new(FlatScratch) }}
+
+// ScheduleFlatFn schedules every block of flat function fi on a pooled
+// scratch.
 func ScheduleFlatFn(fp *rtl.FlatProgram, fi int, m *machine.Machine) {
 	f := &fp.Fns[fi]
-	var sc FlatScratch
+	sc := scratches.Get().(*FlatScratch)
 	for bi := range f.Blocks {
-		ScheduleFlat(f, int32(bi), m, &sc)
+		ScheduleFlat(f, int32(bi), m, sc)
 	}
+	scratches.Put(sc)
 }

@@ -77,7 +77,7 @@ type Config struct {
 	// GraphPipeline forces the optimizer to run on the pointer-graph IR for
 	// every pass. By default the cold path flattens the front end's output
 	// once and runs the pipeline natively on the struct-of-arrays form
-	// (bridging the few passes not yet ported per function); the two modes
+	// (only regalloc bridges through the graph, per function); the two modes
 	// produce byte-identical programs — this switch exists for differential
 	// testing and as an escape hatch. It never enters the cache fingerprint,
 	// because it cannot change the compiled output.
@@ -497,11 +497,12 @@ func (p *Program) passList(cfg Config) []pipeline.Pass {
 	return passes
 }
 
-// runLICM is the body of the "licm" pass, shared verbatim by the graph pass
-// list and (bridged) by the flat pass list: hoist loop invariants,
+// runLICM is the graph body of the "licm" pass: hoist loop invariants,
 // innermost-first, iterated because hoisting can expose more loops'
-// invariants.
-func runLICM(f *rtl.Fn) {
+// invariants. It reports whether anything was hoisted. runLICMFlat is its
+// flat twin.
+func runLICM(f *rtl.Fn) bool {
+	hoisted := false
 	for i := 0; i < 4; i++ {
 		ensurePreheaders(f)
 		g := cfg2(f)
@@ -513,17 +514,20 @@ func runLICM(f *rtl.Fn) {
 		for _, l := range loops {
 			changed = opt.HoistInvariants(f, g, l) || changed
 		}
-		if changed {
-			opt.Clean(f)
-		} else {
+		if !changed {
 			break
 		}
+		hoisted = true
+		opt.Clean(f)
 	}
+	return hoisted
 }
 
-// runStrengthReduce is the body of the "strength-reduce" pass, shared by both
-// pass lists.
-func runStrengthReduce(f *rtl.Fn, em telemetry.Emitter) {
+// runStrengthReduce is the graph body of the "strength-reduce" pass. It
+// reports whether it materialized a pointer induction variable or its
+// clean-up tail changed anything. runStrengthReduceFlat is its flat twin.
+func runStrengthReduce(f *rtl.Fn, em telemetry.Emitter) bool {
+	changed := false
 	ensurePreheaders(f)
 	g := cfg2(f)
 	loops := g.FindLoops()
@@ -533,43 +537,43 @@ func runStrengthReduce(f *rtl.Fn, em telemetry.Emitter) {
 		info := iv.Analyze(g, l, du)
 		em.Emit(info.Remark("strength-reduce", f.Name))
 		if ptrs := info.StrengthReduce(f); len(ptrs) > 0 {
-			replaced := info.ReplaceTest(f, ptrs)
-			em.Count("iv.pointers_strength_reduced", int64(len(ptrs)))
-			rem := telemetry.Remark{
-				Kind: telemetry.Passed, Pass: "strength-reduce",
-				Fn: f.Name, Loop: l.Header.Name, Name: "StrengthReduced",
-				Reason: "iv:pointer-ivs-materialized",
-				Args:   map[string]int64{"pointers": int64(len(ptrs))},
-			}
-			if replaced {
-				rem.Args["test_replaced"] = 1
-			}
-			em.Emit(rem)
+			emitStrengthReduced(em, f.Name, l.Header.Name, len(ptrs), info.ReplaceTest(f, ptrs))
+			changed = true
 		}
 	}
-	opt.EliminateDeadIVs(f)
-	opt.Clean(f)
+	changed = opt.EliminateDeadIVs(f) || changed
+	return opt.Clean(f) || changed
 }
 
-// runUnrollLoops is the loop-replication part of the "unroll" pass, shared by
-// both pass lists; the caller finishes with address normalization and a clean
-// sweep on its own form. Returns the per-function factors to stage.
+// emitStrengthReduced records one loop's strength reduction.
+func emitStrengthReduced(em telemetry.Emitter, fn, loop string, ptrs int, replaced bool) {
+	em.Count("iv.pointers_strength_reduced", int64(ptrs))
+	rem := telemetry.Remark{
+		Kind: telemetry.Passed, Pass: "strength-reduce",
+		Fn: fn, Loop: loop, Name: "StrengthReduced",
+		Reason: "iv:pointer-ivs-materialized",
+		Args:   map[string]int64{"pointers": int64(ptrs)},
+	}
+	if replaced {
+		rem.Args["test_replaced"] = 1
+	}
+	em.Emit(rem)
+}
+
+// runUnrollLoops is the loop-replication part of the graph "unroll" pass;
+// the caller finishes with address normalization and a clean sweep.
+// Returns the per-function factors to stage. runUnrollLoopsFlat is its
+// flat twin.
 func runUnrollLoops(cfg Config, f *rtl.Fn) map[string]int {
 	em := cfg.emitter()
 	staged := make(map[string]int)
 	ensurePreheaders(f)
 	g := cfg2(f)
-	missed := func(header, reason string) {
-		em.Emit(telemetry.Remark{
-			Kind: telemetry.Missed, Pass: "unroll", Fn: f.Name,
-			Loop: header, Name: "NotUnrolled", Reason: reason,
-		})
-	}
 	for _, l := range g.FindLoops() {
 		g.EnsurePreheader(l)
 		c, ok := unroll.Shape(l)
 		if !ok {
-			missed(l.Header.Name, "shape:not-canonical")
+			emitNotUnrolled(em, f.Name, l.Header.Name, "shape:not-canonical")
 			continue
 		}
 		du := dataflow.ComputeDefUse(f)
@@ -579,21 +583,118 @@ func runUnrollLoops(cfg Config, f *rtl.Fn) map[string]int {
 			factor = unroll.ChooseFactor(cfg.Machine, c, info)
 		}
 		if factor < 2 {
-			missed(l.Header.Name, "heuristic:factor<2")
+			emitNotUnrolled(em, f.Name, l.Header.Name, "heuristic:factor<2")
 			continue
 		}
 		if _, err := unroll.Unroll(f, c, info, factor); err == nil {
 			staged[f.Name] = factor
-			em.Count("unroll.loops", 1)
-			em.Observe("unroll.factor", int64(factor))
-			em.Emit(telemetry.Remark{
-				Kind: telemetry.Passed, Pass: "unroll", Fn: f.Name,
-				Loop: l.Header.Name, Name: "Unrolled",
-				Reason: "heuristic:icache-bounded",
-				Args:   map[string]int64{"factor": int64(factor)},
-			})
+			emitUnrolled(em, f.Name, l.Header.Name, factor)
 		} else {
-			missed(l.Header.Name, "shape:"+err.Error())
+			emitNotUnrolled(em, f.Name, l.Header.Name, "shape:"+err.Error())
+		}
+	}
+	return staged
+}
+
+func emitNotUnrolled(em telemetry.Emitter, fn, loop, reason string) {
+	em.Emit(telemetry.Remark{
+		Kind: telemetry.Missed, Pass: "unroll", Fn: fn,
+		Loop: loop, Name: "NotUnrolled", Reason: reason,
+	})
+}
+
+func emitUnrolled(em telemetry.Emitter, fn, loop string, factor int) {
+	em.Count("unroll.loops", 1)
+	em.Observe("unroll.factor", int64(factor))
+	em.Emit(telemetry.Remark{
+		Kind: telemetry.Passed, Pass: "unroll", Fn: fn,
+		Loop: loop, Name: "Unrolled",
+		Reason: "heuristic:icache-bounded",
+		Args:   map[string]int64{"factor": int64(factor)},
+	})
+}
+
+// preheadedFlatGraph mirrors ensurePreheaders on function fi, then returns
+// a fresh graph of the result.
+func preheadedFlatGraph(fp *rtl.FlatProgram, fi int) *cfg.FlatGraph {
+	g := cfg.NewFlat(fp, fi)
+	for _, l := range g.FindLoops() {
+		g.EnsurePreheader(l)
+	}
+	return cfg.NewFlat(fp, fi)
+}
+
+// runLICMFlat mirrors runLICM on function fi of the flat form.
+func runLICMFlat(fp *rtl.FlatProgram, fi int) bool {
+	hoisted := false
+	for i := 0; i < 4; i++ {
+		g := preheadedFlatGraph(fp, fi)
+		loops := g.FindLoops()
+		for _, l := range loops {
+			g.EnsurePreheader(l)
+		}
+		changed := false
+		for _, l := range loops {
+			changed = opt.FlatHoistInvariants(fp, fi, l) || changed
+		}
+		if !changed {
+			break
+		}
+		hoisted = true
+		opt.FlatClean(fp, fi)
+	}
+	return hoisted
+}
+
+// runStrengthReduceFlat mirrors runStrengthReduce on the flat form.
+func runStrengthReduceFlat(fp *rtl.FlatProgram, fi int, em telemetry.Emitter) bool {
+	changed := false
+	g := preheadedFlatGraph(fp, fi)
+	name := fp.Syms[fp.Fns[fi].Name]
+	for _, l := range g.FindLoops() {
+		g.EnsurePreheader(l)
+		du := dataflow.ComputeFlatDefUse(&fp.Fns[fi])
+		info := iv.AnalyzeFlat(g, l)
+		em.Emit(info.Remark("strength-reduce", name))
+		if ptrs := info.StrengthReduce(fp, fi, du); len(ptrs) > 0 {
+			header := fp.Syms[fp.Fns[fi].Blocks[l.Header].Name]
+			emitStrengthReduced(em, name, header, len(ptrs), info.ReplaceTest(fp, fi, ptrs))
+			changed = true
+		}
+	}
+	changed = opt.FlatEliminateDeadIVs(fp, fi) || changed
+	return opt.FlatClean(fp, fi) || changed
+}
+
+// runUnrollLoopsFlat mirrors runUnrollLoops on the flat form.
+func runUnrollLoopsFlat(cfg Config, fp *rtl.FlatProgram, fi int) map[string]int {
+	em := cfg.emitter()
+	staged := make(map[string]int)
+	g := preheadedFlatGraph(fp, fi)
+	f := &fp.Fns[fi]
+	name := fp.Syms[f.Name]
+	for _, l := range g.FindLoops() {
+		g.EnsurePreheader(l)
+		header := fp.Syms[f.Blocks[l.Header].Name]
+		c, ok := unroll.FlatShape(f, l)
+		if !ok {
+			emitNotUnrolled(em, name, header, "shape:not-canonical")
+			continue
+		}
+		info := iv.AnalyzeFlat(g, l)
+		factor := cfg.UnrollFactor
+		if factor == 0 {
+			factor = unroll.FlatChooseFactor(cfg.Machine, f, c, info)
+		}
+		if factor < 2 {
+			emitNotUnrolled(em, name, header, "heuristic:factor<2")
+			continue
+		}
+		if err := unroll.FlatUnroll(fp, fi, c, info, factor); err == nil {
+			staged[name] = factor
+			emitUnrolled(em, name, header, factor)
+		} else {
+			emitNotUnrolled(em, name, header, "shape:"+err.Error())
 		}
 	}
 	return staged
@@ -638,8 +739,8 @@ func (p *Program) optimizeFlat(rp *rtl.Program, cfg Config) error {
 // OptimizeFlat runs the optimization pipeline directly over an already-flat
 // program image — e.g. one decoded from a .bin emitted by cmd/macc — mutating
 // it in place, with no Unflatten/Materialize round trip of the whole program
-// (passes not yet ported to the flat form bridge per function). The returned
-// Program carries the optimized image on Flat and a materialized view on RTL.
+// (only regalloc, when enabled, bridges per function). The returned Program
+// carries the optimized image on Flat and a materialized view on RTL.
 func OptimizeFlat(fp *rtl.FlatProgram, cfg Config) (*Program, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
@@ -671,10 +772,10 @@ func OptimizeFlat(fp *rtl.FlatProgram, cfg Config) (*Program, error) {
 	return p, nil
 }
 
-// bridgeFlat adapts a graph pass body to the flat pipeline for stages not yet
-// ported natively: materialize the one function, run the graph body, and
-// flatten the result back into the same slot. The round trip is per function
-// and per pass, never whole-program.
+// bridgeFlat adapts a graph pass body to the flat pipeline: materialize the
+// one function, run the graph body, and flatten the result back into the
+// same slot. Only regalloc, which no benchmark configuration enables, still
+// runs this way.
 func bridgeFlat(run func(f *rtl.Fn) error) func(fp *rtl.FlatProgram, fi int) error {
 	return func(fp *rtl.FlatProgram, fi int) error {
 		f := fp.UnflattenFn(fi)
@@ -685,12 +786,12 @@ func bridgeFlat(run func(f *rtl.Fn) error) func(fp *rtl.FlatProgram, fi int) err
 	}
 }
 
-// flatPassList mirrors passList stage for stage on the flat form. The hot
-// stages — clean, unroll's normalize/clean tail, coalesce, schedule — run
-// natively on the arrays; licm, strength-reduce, and regalloc bridge through
-// the per-function graph round trip. Stage names, ordering, staging, and
-// OnSuccess commit semantics are identical to the graph list, so telemetry
-// spans, remarks, and incident reports read the same whichever form ran.
+// flatPassList mirrors passList stage for stage on the flat form. Every
+// stage but regalloc runs natively on the arrays, and every clean-up tail
+// is FlatClean; regalloc bridges through the per-function graph round trip.
+// Stage names, ordering, staging, and OnSuccess commit semantics are
+// identical to the graph list, so telemetry spans, remarks, and incident
+// reports read the same whichever form ran.
 func (p *Program) flatPassList(cfg Config) []pipeline.FlatPass {
 	passes := []pipeline.FlatPass{
 		{Name: "clean", Run: func(fp *rtl.FlatProgram, fi int) error {
@@ -698,27 +799,21 @@ func (p *Program) flatPassList(cfg Config) []pipeline.FlatPass {
 			opt.FlatThreadJumps(fp, fi)
 			return nil
 		}},
-		{Name: "licm", Run: bridgeFlat(func(f *rtl.Fn) error {
-			runLICM(f)
+		{Name: "licm", Run: func(fp *rtl.FlatProgram, fi int) error {
+			runLICMFlat(fp, fi)
 			return nil
-		})},
-		{Name: "strength-reduce", Run: bridgeFlat(func(f *rtl.Fn) error {
-			runStrengthReduce(f, cfg.emitter())
+		}},
+		{Name: "strength-reduce", Run: func(fp *rtl.FlatProgram, fi int) error {
+			runStrengthReduceFlat(fp, fi, cfg.emitter())
 			return nil
-		})},
+		}},
 	}
 	if cfg.Unroll {
 		var staged map[string]int
 		passes = append(passes, pipeline.FlatPass{
 			Name: "unroll",
 			Run: func(fp *rtl.FlatProgram, fi int) error {
-				// The replication machinery still works on the graph; the
-				// normalize/clean tail runs natively on the flattened result.
-				f := fp.UnflattenFn(fi)
-				staged = runUnrollLoops(cfg, f)
-				if err := fp.FlattenFnInto(fi, f); err != nil {
-					return err
-				}
+				staged = runUnrollLoopsFlat(cfg, fp, fi)
 				opt.FlatNormalizeAddresses(fp, fi)
 				opt.FlatClean(fp, fi)
 				return nil
@@ -757,13 +852,25 @@ func (p *Program) flatPassList(cfg Config) []pipeline.FlatPass {
 	return passes
 }
 
-// Passes returns the names of the pipeline stages cfg would run, in order.
+// Passes returns the names of the pipeline stages a compile under cfg runs,
+// in order (none without Optimize): the flat pass list, or the graph one
+// when cfg takes the graph pipeline. Both lists name the same stages, which
+// telemetry spans and remarks rely on.
 func Passes(cfg Config) []string {
-	p := newProgram(rtl.NewProgram(), cfg.Machine)
+	if !cfg.Optimize {
+		return nil
+	}
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
 	}
+	p := newProgram(rtl.NewProgram(), cfg.Machine)
 	var names []string
+	if cfg.useFlatPipeline() {
+		for _, ps := range p.flatPassList(cfg) {
+			names = append(names, ps.Name)
+		}
+		return names
+	}
 	for _, ps := range p.passList(cfg) {
 		names = append(names, ps.Name)
 	}
