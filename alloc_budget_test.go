@@ -53,3 +53,42 @@ func TestColdCompileAllocBudget(t *testing.T) {
 		t.Fatalf("cold-compile sweep allocates %.0f times, above the ceiling of %d", allocs, coldCompileAllocCeiling)
 	}
 }
+
+// simAllocCeiling caps the mallocs of one simulated paper-kernel cell:
+// NewSim, the harness's input setup, Run, the output check, and Release.
+// The simulator's decode and run allocate per program and per function,
+// never per instruction, so one ceiling holds for every kernel.
+const simAllocCeiling = 48
+
+// TestSimAllocBudget is the allocation guard of the simulator: it fails
+// when decoding or running a program starts to allocate in proportion to
+// its size.
+func TestSimAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	wl := bench.SmallWorkload()
+	most := 0.0
+	for _, m := range machine.All() {
+		for _, bm := range append(bench.Benchmarks(), bench.DotProduct()) {
+			p, err := macc.Compile(bm.Src, bench.NamedConfig("loads+stores", m))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", bm.Name, m.Name, err)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, rerr := bm.Run(p, wl); rerr != nil {
+					err = rerr
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", bm.Name, m.Name, err)
+			}
+			most = max(most, allocs)
+			if allocs > simAllocCeiling {
+				t.Errorf("%s/%s: a simulated cell allocates %.0f times, above the ceiling of %d",
+					bm.Name, m.Name, allocs, simAllocCeiling)
+			}
+		}
+	}
+	t.Logf("most allocating cell: %.0f allocs (ceiling %d)", most, simAllocCeiling)
+}

@@ -27,7 +27,7 @@ type graphChecks struct {
 	ph *rtl.Block
 }
 
-func (b graphChecks) NewReg() rtl.Reg   { return b.f.NewReg() }
+func (b graphChecks) NewReg() rtl.Reg    { return b.f.NewReg() }
 func (b graphChecks) Emit(in *rtl.Instr) { b.ph.Append(in) }
 
 // flatChecks emits into a flat preheader. Check instructions are pure ALU

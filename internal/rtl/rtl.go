@@ -245,6 +245,23 @@ func (in *Instr) SrcOperands() []*Operand {
 	return ops
 }
 
+// SrcSlots returns how many of the operand slots A, B and C, in that
+// order, op reads as sources. Call reads its Args instead and reports 0.
+// It is the one operand-source rule: SrcOperands, Uses and the simulator's
+// predecoder all derive from it.
+func (op Op) SrcSlots() int {
+	switch op {
+	case Nop, Jump, Call:
+		return 0
+	case Mov, Neg, Not, Load, Ret, Branch:
+		return 1
+	case Insert:
+		return 3
+	default: // Store, Extract, binary ops
+		return 2
+	}
+}
+
 // eachSrc calls fn on every present source operand slot, in SrcOperands
 // order, without building the slice.
 func (in *Instr) eachSrc(fn func(o *Operand)) {
@@ -253,29 +270,21 @@ func (in *Instr) eachSrc(fn func(o *Operand)) {
 			fn(o)
 		}
 	}
-	switch in.Op {
-	case Nop, Jump:
-	case Mov, Neg, Not, Load, Ret:
-		add(&in.A)
-	case Branch:
-		add(&in.A)
-	case Store:
-		add(&in.A)
-		add(&in.B)
-	case Extract:
-		add(&in.A)
-		add(&in.B)
-	case Insert:
-		add(&in.A)
-		add(&in.B)
-		add(&in.C)
-	case Call:
+	if in.Op == Call {
 		for i := range in.Args {
 			add(&in.Args[i])
 		}
-	default: // binary ops
+		return
+	}
+	n := in.Op.SrcSlots()
+	if n > 0 {
 		add(&in.A)
+	}
+	if n > 1 {
 		add(&in.B)
+	}
+	if n > 2 {
+		add(&in.C)
 	}
 }
 

@@ -58,10 +58,16 @@ func (f *Fn) Verify() error {
 					return fmt.Errorf("%s: dst: %w", where(i, in), err)
 				}
 			}
-			for _, o := range in.SrcOperands() {
-				if err := checkOperand(*o); err != nil {
-					return fmt.Errorf("%s: %w", where(i, in), err)
+			// eachSrc, unlike SrcOperands, builds no slice: Verify runs
+			// twice per compile, once per instruction.
+			var srcErr error
+			in.eachSrc(func(o *Operand) {
+				if srcErr == nil {
+					srcErr = checkOperand(*o)
 				}
+			})
+			if srcErr != nil {
+				return fmt.Errorf("%s: %w", where(i, in), srcErr)
 			}
 			switch in.Op {
 			case Jump:

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"macc/internal/machine"
@@ -109,6 +110,31 @@ func TestReleaseReturnsZeroedArena(t *testing.T) {
 	for i, b := range buf {
 		if b != 0 {
 			t.Fatalf("recycled arena byte %d = %d, want 0", i, b)
+		}
+	}
+}
+
+// TestReleasedArenaSurvivesGC: a released buffer outlives the garbage
+// collections that empty the pool, so the next New reuses it instead of
+// allocating and zeroing a fresh arena.
+func TestReleasedArenaSurvivesGC(t *testing.T) {
+	const memBytes = 1 << 16
+	s := New(storeFn(), machine.Alpha(), memBytes)
+	if _, err := s.Run("work", 8192, 32); err != nil {
+		t.Fatal(err)
+	}
+	first := &s.Mem[0]
+	s.Release()
+	runtime.GC()
+	runtime.GC()
+	s2 := New(storeFn(), machine.Alpha(), memBytes)
+	defer s2.Release()
+	if &s2.Mem[0] != first {
+		t.Fatal("the released arena did not survive garbage collection")
+	}
+	for i, b := range s2.Mem {
+		if b != 0 {
+			t.Fatalf("reused arena byte %d = %d, want 0", i, b)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"macc/internal/machine"
@@ -512,5 +514,31 @@ func TestGlobalLUT(t *testing.T) {
 		if out[i] != 7-v&7 {
 			t.Errorf("out[%d] = %d, want %d", i, out[i], 7-v&7)
 		}
+	}
+}
+
+// TestNewTrapsOnUnflattenableProgram: New is rtl.Flatten followed by
+// NewFlat, so a program Flatten rejects — here a jump to a block outside
+// its function — runs as TrapBadProgram carrying Flatten's error.
+func TestNewTrapsOnUnflattenableProgram(t *testing.T) {
+	f := rtl.NewFn("f", 0)
+	f.Entry().Instrs = append(f.Entry().Instrs, rtl.JumpI(&rtl.Block{Name: "elsewhere"}))
+	prog := rtl.NewProgram(f)
+	_, flatErr := rtl.Flatten(prog)
+	if flatErr == nil {
+		t.Fatal("Flatten accepted a dangling edge")
+	}
+	s := sim.New(prog, machine.Alpha(), 4096)
+	defer s.Release()
+	_, err := s.Run("f")
+	if !sim.IsTrap(err, sim.TrapBadProgram) {
+		t.Fatalf("got %v, want a bad-program trap", err)
+	}
+	var trap *sim.Trap
+	if !errors.As(err, &trap) || trap.Err == nil || trap.Err.Error() != flatErr.Error() {
+		t.Fatalf("trap %v does not carry Flatten's error %q", err, flatErr)
+	}
+	if !strings.Contains(err.Error(), flatErr.Error()) {
+		t.Errorf("trap message %q omits Flatten's error", err)
 	}
 }

@@ -232,7 +232,7 @@ func (r *Recorder) EndPass(instrs, blocks int, rolledBack bool, errMsg string) {
 // process-wide (see allocBytes): exact for serial compiles, an upper bound
 // under concurrency.
 func (r *Recorder) selfProfileLocked(st *stage) {
-	r.reg.Counter("pass."+st.span.Pass+".self_ns").Add(int64(st.span.Dur))
+	r.reg.Counter("pass." + st.span.Pass + ".self_ns").Add(int64(st.span.Dur))
 	if d := int64(allocBytes() - st.allocAt); d > 0 {
 		r.reg.Counter("pass." + st.span.Pass + ".alloc_bytes").Add(d)
 	}

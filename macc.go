@@ -952,11 +952,10 @@ func ensurePreheaders(f *rtl.Fn) {
 func cfg2(f *rtl.Fn) *cfg.Graph { return cfg.New(f) }
 
 // NewSim builds a simulator for the compiled program with memBytes of RAM.
-// Programs carrying a flat image (cache hits, FromFlat) predecode from it
-// directly — no pointer-graph walk; the decode is bit-identical to the
-// graph path, including instruction-cache geometry. When the program was
-// compiled with a telemetry recorder, the simulator publishes its dynamic
-// counters into the same metrics registry.
+// Programs carrying a flat image (flat-pipeline compiles, cache hits,
+// FromFlat) predecode from it directly; others are flattened first
+// (sim.New). When the program was compiled with a telemetry recorder, the
+// simulator publishes its dynamic counters into the same metrics registry.
 func (p *Program) NewSim(memBytes int) *sim.Sim {
 	var s *sim.Sim
 	if p.Flat != nil {
