@@ -1,29 +1,28 @@
-// Command hotpath measures the compiler's four hot paths — the pass
-// pipeline's per-pass snapshot, the bench harness's table measurement, the
-// simulator core, and the warm-vs-cold compile cache — and writes the
-// results as a machine-readable artifact (BENCH_hotpath.json). CI
+// Command hotpath measures the compiler's hot paths — a cold compile of
+// every paper kernel, the bench harness's table measurement, the simulator
+// core, the warm-vs-cold compile cache, and the flat-IR codec — and writes
+// the results as a machine-readable artifact (BENCH_hotpath.json). CI
 // regenerates the artifact on every run and gates on -check against the
-// committed baseline: a ratio metric that regresses by more than 25% fails
-// the build.
+// committed baseline.
 //
 //	hotpath -out BENCH_hotpath.json          regenerate the artifact
 //	hotpath -out new.json -check BENCH_hotpath.json
 //
-// Only ratio metrics are gated (the journal-vs-clone snapshot speedup, the
-// parallel-vs-serial table speedup, simulated MIPS, the warm-cache compile
-// speedups, the codec decode-vs-reparse speedup, and the flat-vs-graph cold
-// compile speedup); raw ns/op numbers are recorded for trend plots but never
-// compared across hosts. Three metrics additionally have absolute floors: a
-// warm memory-tier hit must be at least 5x faster than a cold compile,
+// Gates against the baseline: every ratio metric (the parallel-vs-serial
+// table speedup, simulated MIPS, the warm-cache compile speedups, the codec
+// decode-vs-reparse speedup) and the aggregate cold-compile ns/op may
+// regress by at most 25%; each kernel's cold-compile allocs/op may grow by
+// at most 10%. Raw per-kernel ns/op numbers are recorded for trend plots
+// but never compared. Two metrics additionally have absolute floors: a warm
+// memory-tier hit must be at least 5x faster than a cold compile, and
 // decoding a kernel's binary flat-IR image must be at least 5x faster than
 // reparsing its printed text — the property that justifies the binary disk
-// tier — and a flat-pipeline cold compile must be at least 1.5x faster than
-// a graph-pipeline one (with lower allocs/op) — the property that justifies
-// running the optimizer on the struct-of-arrays form — regardless of the
-// baseline. Each artifact carries a provenance
+// tier — regardless of the baseline. Each artifact carries a provenance
 // block (git commit, Go version, OS/arch, CPU count); when the baseline's
-// host identity differs from the current host's, relative gates are
-// skipped and only the absolute floors apply. The parallel-scaling gate requires
+// host identity differs from the current host's, the timing gates are
+// skipped and only the absolute floors apply, and the allocation gate runs
+// only when both artifacts were built by the same Go toolchain, whose
+// runtime decides allocation counts. The parallel-scaling gate requires
 // at least four CPUs on both the current and the baseline host, since a
 // single-core runner cannot demonstrate pool scaling; -check warns loudly
 // when the committed baseline was produced on a single-CPU host, because
@@ -54,18 +53,19 @@ import (
 // the cache section into warm-mem and warm-disk hits and added the binary
 // codec encode/decode/reparse section; v5 added the cold_flat section
 // (graph-pipeline vs flat-pipeline cold compiles) and allocs/op on every
-// cold-compile row.
-const Schema = "macc-hotpath/v5"
+// cold-compile row; v6 replaced the cold_flat and snapshot sections, whose
+// pointer-graph subjects are gone, with the cold section and took the codec
+// legs as medians.
+const Schema = "macc-hotpath/v6"
 
-// SnapshotEntry is one kernel's per-pass snapshot cost: the old
-// whole-function Clone vs the journal's clean Update, over all of the
-// kernel's compiled functions.
-type SnapshotEntry struct {
-	Kernel         string  `json:"kernel"`
-	CloneNsPerOp   float64 `json:"clone_ns_per_op"`
-	JournalNsPerOp float64 `json:"journal_ns_per_op"`
-	Speedup        float64 `json:"speedup"`
-}
+// benchRepeats is how many testing.Benchmark runs the simulated-MIPS probe
+// and each codec leg take the median of: one run alone swung between 34
+// and 68 MIPS on one build.
+const benchRepeats = 5
+
+// allocGrowthLimit is how far a kernel's cold-compile allocs/op may grow
+// over the baseline's.
+const allocGrowthLimit = 1.10
 
 // RunTableEntry is the bench harness's wall time for the full small-workload
 // table, serial vs a GOMAXPROCS-wide pool. Speedup is null when GOMAXPROCS
@@ -86,13 +86,8 @@ func (e RunTableEntry) speedupText() string {
 	return fmt.Sprintf("%.2fx", *e.Speedup)
 }
 
-// simRepeats is how many testing.Benchmark runs the simulated-MIPS probe
-// takes the median of: one run alone swung between 34 and 68 MIPS on one
-// build.
-const simRepeats = 5
-
 // SimEntry is the predecoded interpreter's raw rate on the dot-product
-// kernel, the median of simRepeats benchmark runs.
+// kernel, the median of benchRepeats benchmark runs.
 type SimEntry struct {
 	NsPerRun      float64 `json:"ns_per_run"`
 	InstrsPerRun  int64   `json:"instrs_per_run"`
@@ -113,25 +108,19 @@ type CacheEntry struct {
 	Speedup         float64 `json:"speedup"`
 }
 
-// ColdFlatEntry is one paper kernel's cold compile through the two pass
-// pipelines: the pointer-graph pipeline forced via Config.GraphPipeline vs
-// the default flat-native pipeline (flatten once, run the passes on the
-// struct-of-arrays form, bridge the unported stages per function). Both
-// compile the same source under the same optimizing configuration; the
-// speedup is the ratio the flat port is expected to defend.
-type ColdFlatEntry struct {
-	Kernel           string  `json:"kernel"`
-	GraphNsPerOp     float64 `json:"graph_ns_per_op"`
-	GraphAllocsPerOp float64 `json:"graph_allocs_per_op"`
-	FlatNsPerOp      float64 `json:"flat_ns_per_op"`
-	FlatAllocsPerOp  float64 `json:"flat_allocs_per_op"`
-	Speedup          float64 `json:"speedup"`
+// ColdEntry is one paper kernel's cold compile — front end, flatten, the
+// flat pass pipeline, and unflatten — under the default optimizing
+// configuration.
+type ColdEntry struct {
+	Kernel      string  `json:"kernel"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // CodecEntry is one paper kernel's flat-IR codec cost: encoding the flat
 // image, decoding it back (checksum + structural validation), and — the
 // baseline the binary disk tier replaced — reparsing the same program from
-// printed RTL text.
+// printed RTL text. Each leg is the median of benchRepeats runs.
 type CodecEntry struct {
 	Kernel         string  `json:"kernel"`
 	EncodeNsPerOp  float64 `json:"encode_ns_per_op"`
@@ -147,8 +136,8 @@ type Artifact struct {
 	Schema             string           `json:"schema"`
 	Provenance         bench.Provenance `json:"provenance"`
 	CPUs               int              `json:"cpus"`
-	Snapshot           []SnapshotEntry  `json:"snapshot"`
-	SnapshotSpeedup    float64          `json:"snapshot_speedup"`
+	Cold               []ColdEntry      `json:"cold"`
+	ColdNsPerOp        float64          `json:"cold_ns_per_op"`
 	RunTable           RunTableEntry    `json:"runtable"`
 	Sim                SimEntry         `json:"sim"`
 	Cache              []CacheEntry     `json:"cache"`
@@ -157,9 +146,6 @@ type Artifact struct {
 	WarmDiskSpeedup    float64          `json:"warm_disk_speedup"`
 	Codec              []CodecEntry     `json:"codec"`
 	CodecDecodeSpeedup float64          `json:"codec_decode_speedup"`
-	ColdFlat           []ColdFlatEntry  `json:"cold_flat"`
-	ColdFlatSpeedup    float64          `json:"cold_flat_speedup"`
-	ColdFlatAllocRatio float64          `json:"cold_flat_alloc_ratio"`
 }
 
 // cacheSpeedupFloor is the absolute acceptance floor: a warm memory-tier
@@ -170,12 +156,6 @@ const cacheSpeedupFloor = 5.0
 // disk tier's reason to exist: decoding a kernel's flat-IR image must beat
 // reparsing its printed RTL text by at least this factor in aggregate.
 const codecDecodeSpeedupFloor = 5.0
-
-// coldFlatSpeedupFloor is the absolute acceptance floor for the flat pass
-// pipeline's reason to exist: a cold compile through the flat-native
-// pipeline must beat the graph pipeline by at least this factor in
-// aggregate, and allocate less per op (ColdFlatAllocRatio > 1).
-const coldFlatSpeedupFloor = 1.5
 
 // parallelSpeedupFloor is the absolute acceptance floor for the parallel
 // run-table benchmark when no multi-core baseline exists: on a host with
@@ -224,55 +204,8 @@ func measure() (Artifact, error) {
 	a := Artifact{Schema: Schema, Provenance: bench.NewProvenance(Schema), CPUs: runtime.NumCPU()}
 	m := machine.Alpha()
 
-	fns, err := bench.KernelFns(m)
-	if err != nil {
+	if err := measureCold(&a, m); err != nil {
 		return a, err
-	}
-	byKernel := make(map[string][]*rtl.Fn)
-	var order []string
-	for _, kf := range fns {
-		if _, seen := byKernel[kf.Kernel]; !seen {
-			order = append(order, kf.Kernel)
-		}
-		byKernel[kf.Kernel] = append(byKernel[kf.Kernel], kf.Fn)
-	}
-	var cloneTotal, journalTotal float64
-	for _, kernel := range order {
-		kfns := byKernel[kernel]
-		clone := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, f := range kfns {
-					_ = f.Clone()
-				}
-			}
-		})
-		snaps := make([]*rtl.Snapshot, len(kfns))
-		for i, f := range kfns {
-			snaps[i] = rtl.NewSnapshot(f)
-		}
-		journal := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, s := range snaps {
-					if s.Update() != 0 {
-						b.Fatal("clean function reported dirty blocks")
-					}
-				}
-			}
-		})
-		e := SnapshotEntry{
-			Kernel:         kernel,
-			CloneNsPerOp:   nsPerOp(clone),
-			JournalNsPerOp: nsPerOp(journal),
-		}
-		if e.JournalNsPerOp > 0 {
-			e.Speedup = e.CloneNsPerOp / e.JournalNsPerOp
-		}
-		cloneTotal += e.CloneNsPerOp
-		journalTotal += e.JournalNsPerOp
-		a.Snapshot = append(a.Snapshot, e)
-	}
-	if journalTotal > 0 {
-		a.SnapshotSpeedup = cloneTotal / journalTotal
 	}
 
 	wl := bench.SmallWorkload()
@@ -317,23 +250,18 @@ func measure() (Artifact, error) {
 	}
 	defer release()
 	var serr error
-	runs := make([]float64, simRepeats)
-	for i := range runs {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := step(); err != nil {
-					serr = err
-					b.FailNow()
-				}
+	simNs := medianNsPerOp(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := step(); err != nil {
+				serr = err
+				b.FailNow()
 			}
-		})
-		if serr != nil {
-			return a, serr
 		}
-		runs[i] = nsPerOp(r)
+	})
+	if serr != nil {
+		return a, serr
 	}
-	sort.Float64s(runs)
-	a.Sim = SimEntry{NsPerRun: runs[len(runs)/2], InstrsPerRun: instrs}
+	a.Sim = SimEntry{NsPerRun: simNs, InstrsPerRun: instrs}
 	if ns := a.Sim.NsPerRun; ns > 0 {
 		a.Sim.SimulatedMIPS = float64(instrs) / ns * 1e3 // instrs/ns -> MIPS
 	}
@@ -345,9 +273,6 @@ func measure() (Artifact, error) {
 		return a, err
 	}
 	if err := measureCodec(&a, m); err != nil {
-		return a, err
-	}
-	if err := measureColdFlat(&a, m); err != nil {
 		return a, err
 	}
 	return a, nil
@@ -369,48 +294,19 @@ func benchCompile(src string, cfg macc.Config) (testing.BenchmarkResult, error) 
 	return r, cerr
 }
 
-// measureColdFlat benchmarks a cold compile through the pointer-graph
-// pipeline against one through the flat-native pipeline for every paper
-// kernel under the default optimizing configuration.
-func measureColdFlat(a *Artifact, m *machine.Machine) error {
-	var graphNs, flatNs, graphAllocs, flatAllocs float64
+// measureCold benchmarks a cold compile of every paper kernel under the
+// default optimizing configuration.
+func measureCold(a *Artifact, m *machine.Machine) error {
 	for _, bm := range append(bench.Benchmarks(), bench.DotProduct()) {
-		graphCfg := macc.DefaultConfig()
-		graphCfg.Machine = m
-		graphCfg.GraphPipeline = true
-		graphR, err := benchCompile(bm.Src, graphCfg)
+		cfg := macc.DefaultConfig()
+		cfg.Machine = m
+		r, err := benchCompile(bm.Src, cfg)
 		if err != nil {
-			return fmt.Errorf("%s: graph-pipeline compile: %v", bm.Name, err)
+			return fmt.Errorf("%s: cold compile: %v", bm.Name, err)
 		}
-
-		flatCfg := macc.DefaultConfig()
-		flatCfg.Machine = m
-		flatR, err := benchCompile(bm.Src, flatCfg)
-		if err != nil {
-			return fmt.Errorf("%s: flat-pipeline compile: %v", bm.Name, err)
-		}
-
-		e := ColdFlatEntry{
-			Kernel:           bm.Entry,
-			GraphNsPerOp:     nsPerOp(graphR),
-			GraphAllocsPerOp: float64(graphR.AllocsPerOp()),
-			FlatNsPerOp:      nsPerOp(flatR),
-			FlatAllocsPerOp:  float64(flatR.AllocsPerOp()),
-		}
-		if e.FlatNsPerOp > 0 {
-			e.Speedup = e.GraphNsPerOp / e.FlatNsPerOp
-		}
-		graphNs += e.GraphNsPerOp
-		flatNs += e.FlatNsPerOp
-		graphAllocs += e.GraphAllocsPerOp
-		flatAllocs += e.FlatAllocsPerOp
-		a.ColdFlat = append(a.ColdFlat, e)
-	}
-	if flatNs > 0 {
-		a.ColdFlatSpeedup = graphNs / flatNs
-	}
-	if flatAllocs > 0 {
-		a.ColdFlatAllocRatio = graphAllocs / flatAllocs
+		e := ColdEntry{Kernel: bm.Entry, NsPerOp: nsPerOp(r), AllocsPerOp: float64(r.AllocsPerOp())}
+		a.ColdNsPerOp += e.NsPerOp
+		a.Cold = append(a.Cold, e)
 	}
 	return nil
 }
@@ -552,13 +448,13 @@ func measureCodec(a *Artifact, m *machine.Machine) error {
 		enc := codec.EncodeProgram(fp)
 		text := p.RTL.String()
 
-		encR := testing.Benchmark(func(b *testing.B) {
+		encNs := medianNsPerOp(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				codec.EncodeProgram(fp)
 			}
 		})
 		var derr error
-		decR := testing.Benchmark(func(b *testing.B) {
+		decNs := medianNsPerOp(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := codec.DecodeProgram(enc); err != nil {
 					derr = err
@@ -570,7 +466,7 @@ func measureCodec(a *Artifact, m *machine.Machine) error {
 			return fmt.Errorf("%s: decode: %v", bm.Name, derr)
 		}
 		var perr error
-		parR := testing.Benchmark(func(b *testing.B) {
+		parNs := medianNsPerOp(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := rtl.ParseProgram(text); err != nil {
 					perr = err
@@ -584,9 +480,9 @@ func measureCodec(a *Artifact, m *machine.Machine) error {
 
 		e := CodecEntry{
 			Kernel:         bm.Entry,
-			EncodeNsPerOp:  nsPerOp(encR),
-			DecodeNsPerOp:  nsPerOp(decR),
-			ReparseNsPerOp: nsPerOp(parR),
+			EncodeNsPerOp:  encNs,
+			DecodeNsPerOp:  decNs,
+			ReparseNsPerOp: parNs,
 			Bytes:          len(enc),
 			TextBytes:      len(text),
 		}
@@ -610,6 +506,17 @@ func nsPerOp(r testing.BenchmarkResult) float64 {
 	return float64(r.T.Nanoseconds()) / float64(r.N)
 }
 
+// medianNsPerOp runs fn as a benchmark benchRepeats times and returns the
+// median ns/op.
+func medianNsPerOp(fn func(b *testing.B)) float64 {
+	runs := make([]float64, benchRepeats)
+	for i := range runs {
+		runs[i] = nsPerOp(testing.Benchmark(fn))
+	}
+	sort.Float64s(runs)
+	return runs[len(runs)/2]
+}
+
 func readArtifact(path string) (Artifact, error) {
 	var a Artifact
 	data, err := os.ReadFile(path)
@@ -625,11 +532,14 @@ func readArtifact(path string) (Artifact, error) {
 	return a, nil
 }
 
-// check fails when a gated ratio metric regressed by more than 25% against
-// the baseline. Relative comparisons are only trusted when both artifacts
-// carry the same host identity (the provenance block): timing ratios from
-// a different machine, Go version, or CPU count are not a regression
-// signal, so a host mismatch downgrades the check to absolute floors only.
+// check fails when a gated timing metric regressed by more than 25%, or a
+// kernel's cold-compile allocs/op grew by more than 10%, against the
+// baseline. Timing comparisons are only trusted when both artifacts carry
+// the same host identity (the provenance block): timings from a different
+// machine, Go version, or CPU count are not a regression signal, so a host
+// mismatch downgrades the timing check to absolute floors only. Allocation
+// counts do not depend on the machine, only on the code and the Go runtime,
+// so that gate runs whenever the toolchains match.
 func check(cur, base Artifact) error {
 	sameHost := cur.Provenance.SameHost(base.Provenance)
 	if !sameHost {
@@ -647,22 +557,26 @@ func check(cur, base Artifact) error {
 				fmt.Sprintf("%s regressed >25%%: %.2f vs baseline %.2f", name, curV, baseV))
 		}
 	}
-	gate("snapshot journal-vs-clone speedup", cur.SnapshotSpeedup, base.SnapshotSpeedup)
+	if sameHost && base.ColdNsPerOp > 0 && cur.ColdNsPerOp > base.ColdNsPerOp/0.75 {
+		failures = append(failures, fmt.Sprintf(
+			"cold-compile ns/op regressed >25%%: %.0f vs baseline %.0f", cur.ColdNsPerOp, base.ColdNsPerOp))
+	}
+	if sameToolchain(cur.Provenance, base.Provenance) {
+		baseAllocs := make(map[string]float64, len(base.Cold))
+		for _, e := range base.Cold {
+			baseAllocs[e.Kernel] = e.AllocsPerOp
+		}
+		for _, e := range cur.Cold {
+			if b, ok := baseAllocs[e.Kernel]; ok && e.AllocsPerOp > b*allocGrowthLimit {
+				failures = append(failures, fmt.Sprintf(
+					"%s cold-compile allocs/op grew >10%%: %.0f vs baseline %.0f", e.Kernel, e.AllocsPerOp, b))
+			}
+		}
+	}
 	gate("simulated MIPS", cur.Sim.SimulatedMIPS, base.Sim.SimulatedMIPS)
 	gate("warm-cache compile speedup", cur.CacheSpeedup, base.CacheSpeedup)
 	gate("warm-disk compile speedup", cur.WarmDiskSpeedup, base.WarmDiskSpeedup)
 	gate("codec decode-vs-reparse speedup", cur.CodecDecodeSpeedup, base.CodecDecodeSpeedup)
-	gate("cold-compile flat-vs-graph speedup", cur.ColdFlatSpeedup, base.ColdFlatSpeedup)
-	if cur.ColdFlatSpeedup < coldFlatSpeedupFloor {
-		failures = append(failures, fmt.Sprintf(
-			"cold-compile flat-vs-graph speedup %.2fx below the %.1fx floor",
-			cur.ColdFlatSpeedup, coldFlatSpeedupFloor))
-	}
-	if cur.ColdFlatAllocRatio <= 1.0 {
-		failures = append(failures, fmt.Sprintf(
-			"flat pipeline allocates more than the graph pipeline (graph/flat allocs ratio %.2f, need > 1)",
-			cur.ColdFlatAllocRatio))
-	}
 	if cur.CacheSpeedup < cacheSpeedupFloor {
 		failures = append(failures, fmt.Sprintf(
 			"warm-cache compile speedup %.2fx below the %.0fx floor", cur.CacheSpeedup, cacheSpeedupFloor))
@@ -703,6 +617,12 @@ func check(cur, base Artifact) error {
 		return fmt.Errorf("%s", msg)
 	}
 	return nil
+}
+
+// sameToolchain reports whether two artifacts were built by the same Go
+// toolchain for the same platform, which is what fixes allocation counts.
+func sameToolchain(p, q bench.Provenance) bool {
+	return p.GoVersion == q.GoVersion && p.GOOS == q.GOOS && p.GOARCH == q.GOARCH
 }
 
 func fatal(err error) {

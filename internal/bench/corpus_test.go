@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"macc"
 	"macc/internal/bench"
 	"macc/internal/machine"
 	"macc/internal/rtlgen"
@@ -40,40 +39,6 @@ func TestRunCorpusDifferentialAndCoverage(t *testing.T) {
 	}
 	if rep.Units != len(progs) {
 		t.Errorf("units = %d, want %d", rep.Units, len(progs))
-	}
-}
-
-// TestCorpusFlatPipelineMatchesGraph compiles a corpus slice under every
-// named configuration through both pipelines and requires byte-identical
-// printed RTL — the graph-vs-flat differential over generated programs,
-// complementing RunCorpus's optimized-vs-unoptimized oracle.
-func TestCorpusFlatPipelineMatchesGraph(t *testing.T) {
-	progs := rtlgen.Corpus(11, 30)
-	if testing.Short() {
-		progs = progs[:8]
-	}
-	machines := []*machine.Machine{machine.Alpha(), machine.M88100()}
-	for _, p := range progs {
-		for _, m := range machines {
-			for _, cname := range bench.CorpusConfigs {
-				flatCfg := bench.NamedConfig(cname, m)
-				flatCfg.GraphPipeline = false
-				flat, err := macc.Compile(p.Src, flatCfg)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: flat compile: %v", p.Name, m.Name, cname, err)
-				}
-				graphCfg := bench.NamedConfig(cname, m)
-				graphCfg.GraphPipeline = true
-				graph, err := macc.Compile(p.Src, graphCfg)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: graph compile: %v", p.Name, m.Name, cname, err)
-				}
-				if got, want := flat.RTL.String(), graph.RTL.String(); got != want {
-					t.Fatalf("%s/%s/%s: flat pipeline printed different RTL:\n--- graph ---\n%s\n--- flat ---\n%s",
-						p.Name, m.Name, cname, want, got)
-				}
-			}
-		}
 	}
 }
 

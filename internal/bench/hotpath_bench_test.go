@@ -4,37 +4,25 @@ import (
 	"runtime"
 	"testing"
 
+	"macc"
 	"macc/internal/bench"
 	"macc/internal/machine"
 	"macc/internal/rtl"
 )
 
-// BenchmarkSnapshotClone is the pass pipeline's old per-pass cost: a full
-// deep Clone of every compiled paper-kernel function.
-func BenchmarkSnapshotClone(b *testing.B) {
-	fns, err := bench.KernelFns(machine.Alpha())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, kf := range fns {
-			_ = kf.Fn.Clone()
+// BenchmarkSnapshotUpdate is the pass pipeline's per-pass commit cost
+// after a pass that changed nothing: a clean flat snapshot Update over
+// every compiled paper-kernel function.
+func BenchmarkSnapshotUpdate(b *testing.B) {
+	var snaps []*rtl.FlatSnapshot
+	for _, bm := range append(bench.Benchmarks(), bench.DotProduct()) {
+		p, err := macc.Compile(bm.Src, macc.BaselineConfig(machine.Alpha()))
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSnapshotJournal is the replacement cost: a clean journal Update
-// over the same functions — the price the pipeline now pays after a pass
-// that changed nothing.
-func BenchmarkSnapshotJournal(b *testing.B) {
-	fns, err := bench.KernelFns(machine.Alpha())
-	if err != nil {
-		b.Fatal(err)
-	}
-	snaps := make([]*rtl.Snapshot, len(fns))
-	for i, kf := range fns {
-		snaps[i] = rtl.NewSnapshot(kf.Fn)
+		for fi := range p.Flat.Fns {
+			snaps = append(snaps, rtl.NewFlatSnapshot(p.Flat, fi))
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

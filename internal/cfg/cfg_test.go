@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"macc/internal/cfg"
+	"macc/internal/flattest"
 	"macc/internal/rtl"
 )
 
@@ -35,33 +36,51 @@ func buildLoopFn() (*rtl.Fn, map[string]*rtl.Block) {
 	}
 }
 
+// graph flattens f and builds its FlatGraph, returning a block-name lookup.
+func graph(t *testing.T, f *rtl.Fn) (*cfg.FlatGraph, func(string) int32) {
+	t.Helper()
+	fp := flattest.Flat(t, f)
+	return cfg.NewFlat(fp, 0), func(name string) int32 { return flattest.Block(t, fp, 0, name) }
+}
+
 func TestPredsAndReachability(t *testing.T) {
 	f, bs := buildLoopFn()
-	g := cfg.New(f)
-	if len(g.Preds[bs["header"]]) != 2 {
-		t.Errorf("header preds = %d, want 2", len(g.Preds[bs["header"]]))
+	g, blk := graph(t, f)
+	if len(g.Preds[blk("header")]) != 2 {
+		t.Errorf("header preds = %d, want 2", len(g.Preds[blk("header")]))
 	}
-	for name, b := range bs {
-		if !g.Reachable(b) {
+	for name := range bs {
+		if !g.Reachable(blk(name)) {
 			t.Errorf("%s should be reachable", name)
 		}
 	}
 	dead := f.NewBlock("dead")
 	dead.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
-	g = cfg.New(f)
-	if g.Reachable(dead) {
+	g, blk = graph(t, f)
+	if g.Reachable(blk("dead")) {
 		t.Error("dead block reported reachable")
 	}
 }
 
+// strictDominators lists the blocks that strictly dominate b, by name.
+func strictDominators(g *cfg.FlatGraph, b int32) map[string]bool {
+	doms := map[string]bool{}
+	for a := range g.F.Blocks {
+		if int32(a) != b && g.Dominates(int32(a), b) {
+			doms[g.P.SymName(g.F.Blocks[a].Name)] = true
+		}
+	}
+	return doms
+}
+
 func TestDominators(t *testing.T) {
-	f, bs := buildLoopFn()
-	g := cfg.New(f)
+	f, _ := buildLoopFn()
+	g, blk := graph(t, f)
 	entry, header, body, latch, exit :=
-		bs["entry"], bs["header"], bs["body"], bs["latch"], bs["exit"]
+		blk("entry"), blk("header"), blk("body"), blk("latch"), blk("exit")
 
 	cases := []struct {
-		a, b *rtl.Block
+		a, b int32
 		want bool
 	}{
 		{entry, exit, true},
@@ -75,14 +94,15 @@ func TestDominators(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := g.Dominates(c.a, c.b); got != c.want {
-			t.Errorf("Dominates(%s,%s) = %v, want %v", c.a, c.b, got, c.want)
+			t.Errorf("Dominates(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
-	if g.Idom(body) != header {
-		t.Errorf("idom(body) = %v, want header", g.Idom(body))
+	// idom(body) is header: body's strict dominators are entry and header.
+	if d := strictDominators(g, body); len(d) != 2 || !d["entry"] || !d["header"] {
+		t.Errorf("strict dominators of body = %v, want entry and header", d)
 	}
-	if g.Idom(entry) != entry {
-		t.Error("entry must be its own idom")
+	if d := strictDominators(g, entry); len(d) != 0 {
+		t.Errorf("entry has strict dominators %v", d)
 	}
 }
 
@@ -96,33 +116,33 @@ func TestDominatorsDiamond(t *testing.T) {
 	b.Instrs = []*rtl.Instr{rtl.JumpI(d)}
 	c.Instrs = []*rtl.Instr{rtl.JumpI(d)}
 	d.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
-	g := cfg.New(f)
-	if g.Idom(d) != a {
-		t.Errorf("idom(join) = %v, want entry", g.Idom(d))
+	g, blk := graph(t, f)
+	if doms := strictDominators(g, blk("d")); len(doms) != 1 || !doms["entry"] {
+		t.Errorf("strict dominators of the join = %v, want the entry alone", doms)
 	}
-	if g.Dominates(b, d) || g.Dominates(c, d) {
+	if g.Dominates(blk("b"), blk("d")) || g.Dominates(blk("c"), blk("d")) {
 		t.Error("diamond arms must not dominate the join")
 	}
 }
 
 func TestFindLoops(t *testing.T) {
-	f, bs := buildLoopFn()
-	g := cfg.New(f)
+	f, _ := buildLoopFn()
+	g, blk := graph(t, f)
 	loops := g.FindLoops()
 	if len(loops) != 1 {
 		t.Fatalf("found %d loops, want 1", len(loops))
 	}
 	l := loops[0]
-	if l.Header != bs["header"] || l.Latch != bs["latch"] {
+	if l.Header != blk("header") || l.Latch != blk("latch") {
 		t.Errorf("wrong header/latch: %v/%v", l.Header, l.Latch)
 	}
 	if len(l.Blocks) != 3 {
 		t.Errorf("loop has %d blocks, want 3 (header, body, latch)", len(l.Blocks))
 	}
-	if l.Contains(bs["exit"]) || l.Contains(bs["entry"]) {
+	if l.Contains(blk("exit")) || l.Contains(blk("entry")) {
 		t.Error("loop contains out-of-loop blocks")
 	}
-	if len(l.Exits) != 1 || l.Exits[0] != bs["exit"] {
+	if len(l.Exits) != 1 || l.Exits[0] != blk("exit") {
 		t.Errorf("exits = %v", l.Exits)
 	}
 }
@@ -144,28 +164,28 @@ func TestNestedLoopsInnermostFirst(t *testing.T) {
 	ol.Instrs = []*rtl.Instr{rtl.JumpI(oh)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
 
-	g := cfg.New(f)
+	g, blk := graph(t, f)
 	loops := g.FindLoops()
 	if len(loops) != 2 {
 		t.Fatalf("found %d loops, want 2", len(loops))
 	}
-	if loops[0].Header != ih {
+	if loops[0].Header != blk("innerHeader") {
 		t.Error("innermost loop must come first")
 	}
-	if loops[1].Header != oh {
+	if loops[1].Header != blk("outerHeader") {
 		t.Error("outer loop second")
 	}
-	if !loops[1].Contains(ih) || !loops[1].Contains(ib) {
+	if !loops[1].Contains(blk("innerHeader")) || !loops[1].Contains(blk("innerBody")) {
 		t.Error("outer loop must contain the inner loop's blocks")
 	}
 }
 
 func TestEnsurePreheaderReusesLonePred(t *testing.T) {
-	f, bs := buildLoopFn()
-	g := cfg.New(f)
+	f, _ := buildLoopFn()
+	g, blk := graph(t, f)
 	l := g.FindLoops()[0]
 	ph := g.EnsurePreheader(l)
-	if ph != bs["entry"] {
+	if ph != blk("entry") {
 		t.Errorf("expected the entry block to serve as preheader, got %v", ph)
 	}
 	if l.Preheader != ph {
@@ -179,41 +199,49 @@ func TestEnsurePreheaderInsertsBlock(t *testing.T) {
 	f, bs := buildLoopFn()
 	extra := f.NewBlock("extra")
 	extra.Instrs = []*rtl.Instr{rtl.JumpI(bs["header"])}
-	bs["entry"].Term().Target = extra
-	// entry -> extra -> header is still one pred; add a branch in entry.
 	cond := f.NewReg()
 	bs["entry"].Instrs = []*rtl.Instr{
 		rtl.MovI(bs["entry"].Instrs[0].Dst, rtl.C(0)),
 		rtl.MovI(cond, rtl.C(1)),
 		rtl.BranchI(rtl.R(cond), extra, bs["header"]),
 	}
-	g := cfg.New(f)
-	var l *cfg.Loop
+	fp := flattest.Flat(t, f)
+	g := cfg.NewFlat(fp, 0)
+	header := flattest.Block(t, fp, 0, "header")
+	var l *cfg.FlatLoop
 	for _, cand := range g.FindLoops() {
-		if cand.Header == bs["header"] {
+		if cand.Header == header {
 			l = cand
 		}
 	}
 	if l == nil {
 		t.Fatal("loop not found")
 	}
-	before := len(f.Blocks)
+	ff := &fp.Fns[0]
+	before := len(ff.Blocks)
 	ph := g.EnsurePreheader(l)
-	if len(f.Blocks) != before+1 {
+	if len(ff.Blocks) != before+1 {
 		t.Fatal("no forwarding block inserted")
 	}
-	if ph.Term().Op != rtl.Jump || ph.Term().Target != bs["header"] {
+	term := func(b int32) rtl.FlatInstr {
+		ti, _, ok := ff.TermIdx(b)
+		if !ok {
+			t.Fatalf("block %d has no terminator", b)
+		}
+		return ff.Instr(ti)
+	}
+	if pt := term(ph); pt.Op != rtl.Jump || pt.Target != header {
 		t.Error("preheader must jump to the header")
 	}
 	// Both outside edges now route through the preheader.
-	if bs["entry"].Term().Else != ph || extra.Term().Target != ph {
+	if term(flattest.Block(t, fp, 0, "entry")).Else != ph || term(flattest.Block(t, fp, 0, "extra")).Target != ph {
 		t.Error("outside edges not rerouted through preheader")
 	}
 	// The back edge must NOT be rerouted.
-	if bs["latch"].Term().Target != bs["header"] {
+	if term(flattest.Block(t, fp, 0, "latch")).Target != header {
 		t.Error("back edge must still target the header")
 	}
-	if err := f.Verify(); err != nil {
+	if err := fp.VerifyFn(0); err != nil {
 		t.Errorf("function invalid after preheader insertion: %v", err)
 	}
 }

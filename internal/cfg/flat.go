@@ -1,3 +1,9 @@
+// Package cfg provides control-flow analyses over flat rtl functions:
+// predecessor maps, reverse postorder, dominator trees, and natural-loop
+// detection with preheader insertion. The coalescing algorithm of the paper
+// is driven by "for each loop in the current function" (Figure 2), and its
+// run-time checks are emitted into loop preheaders, so these analyses are
+// its substrate.
 package cfg
 
 import (
@@ -6,20 +12,20 @@ import (
 	"macc/internal/rtl"
 )
 
-// FlatGraph is the index-based twin of Graph: the same DFS, reverse
-// postorder, CHK dominators, and natural-loop discovery, computed over a
-// FlatFn's dense arrays with block indices standing in for block pointers.
-// Successors are read straight from the terminators' Target/Else fields, so
-// the graph never depends on the (possibly stale) Succs/Preds edge tables.
-// The traversal orders mirror Graph.New exactly — the flat coalescer relies
-// on discovering loops, predecessors, and preheaders in the same order as
-// the pointer path so both emit byte-identical programs.
+// FlatGraph caches derived control-flow structure for one flat function:
+// DFS predecessors, reverse postorder, Cooper–Harvey–Kennedy dominators, and
+// natural-loop discovery, with block indices identifying blocks. Successors
+// are read straight from the terminators' Target/Else fields, so the graph
+// never depends on the (possibly stale) Succs/Preds edge tables. It becomes
+// stale when the function's blocks or terminators change; refresh it with
+// Rebuild. The traversal orders are deterministic (terminator order), so
+// loops, predecessors, and preheaders are always discovered in the same
+// order.
 type FlatGraph struct {
 	P  *rtl.FlatProgram
 	F  *rtl.FlatFn
 	Fi int
-	// Preds lists each block's predecessors in DFS discovery order,
-	// matching Graph.Preds.
+	// Preds lists each block's predecessors in DFS discovery order.
 	Preds [][]int32
 	// RPO is the reverse postorder over reachable blocks.
 	RPO []int32
@@ -33,8 +39,7 @@ type FlatGraph struct {
 }
 
 // FlatSuccs appends block bi's successor indices to buf, in terminator
-// order (Jump: Target; Branch: Target then Else) — the order Block.Succs
-// reports on the graph side.
+// order (Jump: Target; Branch: Target then Else).
 func FlatSuccs(f *rtl.FlatFn, bi int32, buf []int32) []int32 {
 	ti, op, ok := f.TermIdx(bi)
 	if !ok {
@@ -175,7 +180,7 @@ func (g *FlatGraph) Dominates(a, b int32) bool {
 	}
 }
 
-// FlatLoop is Loop over block indices.
+// FlatLoop is one natural loop, its blocks identified by index.
 type FlatLoop struct {
 	Header int32
 	Latch  int32
@@ -191,7 +196,7 @@ type FlatLoop struct {
 // Contains reports whether block bi belongs to the loop.
 func (l *FlatLoop) Contains(bi int32) bool { return int(bi) < len(l.inLoop) && l.inLoop[bi] }
 
-// FindLoops mirrors Graph.FindLoops: natural loops merged by header, sorted
+// FindLoops returns the natural loops, merged by header and sorted
 // innermost-first (fewer blocks, then header RPO position).
 func (g *FlatGraph) FindLoops() []*FlatLoop {
 	byHeader := make(map[int32]*FlatLoop)
@@ -263,10 +268,9 @@ func (l *FlatLoop) findExits(g *FlatGraph) {
 	}
 }
 
-// EnsurePreheader mirrors Graph.EnsurePreheader on the flat form: reuse a
-// lone fall-through outside predecessor, or append a fresh forwarding block
-// (same ".preheader" label the graph path would pick) and retarget the
-// outside predecessors' terminators. Block indices of existing blocks are
+// EnsurePreheader gives l a preheader: reuse a lone fall-through outside
+// predecessor, or append a fresh forwarding block labelled
+// "<header>.preheader" and retarget the outside predecessors' terminators. Block indices of existing blocks are
 // stable; the FlatGraph is stale afterwards if a block was inserted.
 func (g *FlatGraph) EnsurePreheader(l *FlatLoop) int32 {
 	var outside []int32

@@ -4,49 +4,10 @@ import (
 	"math/bits"
 	"sort"
 
-	"macc/internal/dataflow"
+	"macc/internal/iv"
 	"macc/internal/machine"
 	"macc/internal/rtl"
 )
-
-func dataflowDefUse(f *rtl.Fn) *dataflow.DefUse { return dataflow.ComputeDefUse(f) }
-
-// checkBuilder abstracts where run-time check instructions land and how
-// fresh registers are named, so emitChecks serves the graph preheader
-// (Block.Append) and the flat preheader (AppendInstr) identically — the
-// emission and register-allocation order is the shared code's, so both
-// forms produce byte-identical check sequences.
-type checkBuilder interface {
-	NewReg() rtl.Reg
-	Emit(in *rtl.Instr)
-}
-
-// graphChecks emits into a pointer-graph preheader.
-type graphChecks struct {
-	f  *rtl.Fn
-	ph *rtl.Block
-}
-
-func (b graphChecks) NewReg() rtl.Reg    { return b.f.NewReg() }
-func (b graphChecks) Emit(in *rtl.Instr) { b.ph.Append(in) }
-
-// flatChecks emits into a flat preheader. Check instructions are pure ALU
-// ops (no control flow, no calls), so only the value fields transfer.
-type flatChecks struct {
-	f  *rtl.FlatFn
-	bi int32
-}
-
-func (b flatChecks) NewReg() rtl.Reg { return b.f.NewReg() }
-
-func (b flatChecks) Emit(in *rtl.Instr) {
-	fi := rtl.MkInstr(in.Op)
-	fi.Dst = in.Dst
-	fi.A = in.A
-	fi.B = in.B
-	fi.Signed = in.Signed
-	b.f.AppendInstr(b.bi, fi)
-}
 
 // baseRange summarizes the memory region one partition touches over the
 // whole loop: its pointer's entry value, per-iteration step, and the
@@ -60,8 +21,8 @@ type baseRange struct {
 	lo, hi   rtl.Operand // emitted bounds
 }
 
-// emitChecks generates the run-time alias and alignment tests into the
-// loop preheader (the paper's InsertAlignmentCheckInPreheader and
+// emitChecks generates the run-time alias and alignment tests into
+// preheader block ph of f (the paper's InsertAlignmentCheckInPreheader and
 // InsertAliasingChecksInPreheader). It returns the combined "all checks
 // pass" condition (Kind None when no checks were necessary), and the number
 // of instructions, alias pairs, and alignment tests emitted.
@@ -72,11 +33,18 @@ type baseRange struct {
 // [pX+minD, pX+T*sX+maxD+w+|sX|) for forward motion (mirrored for
 // backward). Two ranges are safe when one ends before the other begins.
 // The over-approximation only ever sends execution to the safe loop.
-func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
-	chunks []*chunk, info ivSource) (okCond rtl.Operand, nInstrs, nPairs, nAligns int, ok bool) {
+func emitChecks(f *rtl.FlatFn, ph int32, body []*rtl.Instr, m *machine.Machine,
+	chunks []*chunk, info *iv.FlatInfo) (okCond rtl.Operand, nInstrs, nPairs, nAligns int, ok bool) {
 
+	// Check instructions are pure ALU ops (no control flow, no calls), so
+	// only the value fields transfer.
 	emit := func(in *rtl.Instr) {
-		cb.Emit(in)
+		fi := rtl.MkInstr(in.Op)
+		fi.Dst = in.Dst
+		fi.A = in.A
+		fi.B = in.B
+		fi.Signed = in.Signed
+		f.AppendInstr(ph, fi)
 		nInstrs++
 	}
 
@@ -86,7 +54,7 @@ func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
 			acc = cond
 			return
 		}
-		r := cb.NewReg()
+		r := f.NewReg()
 		emit(rtl.BinI(rtl.And, r, acc, cond))
 		acc = rtl.R(r)
 	}
@@ -108,13 +76,13 @@ func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
 			seen[k] = true
 			addr := rtl.R(c.part.base)
 			if c.minDisp != 0 {
-				t := cb.NewReg()
+				t := f.NewReg()
 				emit(rtl.BinI(rtl.Add, t, addr, rtl.C(c.minDisp)))
 				addr = rtl.R(t)
 			}
-			masked := cb.NewReg()
+			masked := f.NewReg()
 			emit(rtl.BinI(rtl.And, masked, addr, rtl.C(int64(c.wide)-1)))
-			okA := cb.NewReg()
+			okA := f.NewReg()
 			emit(rtl.BinI(rtl.SetEQ, okA, rtl.R(masked), rtl.C(0)))
 			combine(rtl.R(okA))
 			nAligns++
@@ -134,17 +102,17 @@ func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
 		}
 	}
 	if len(pairs) > 0 {
-		ctlIV, bound, haveCtl := info.ControlInfo()
-		if !haveCtl {
+		if info.Control == nil {
 			return rtl.Operand{}, nInstrs, 0, nAligns, false
 		}
-		ctlStep, isIV := info.IVStep(ctlIV)
+		ctlIV, bound := info.Control.IV, info.Control.Bound
+		ctlStep, isIV := ivStep(info, ctlIV)
 		if !isIV {
 			return rtl.Operand{}, nInstrs, 0, nAligns, false
 		}
 		// T = (bound - iv) / |step|  (signed; a non-positive result means
 		// the loop will not run, and the guard prevents entry anyway).
-		diff := cb.NewReg()
+		diff := f.NewReg()
 		if ctlStep > 0 {
 			emit(rtl.BinI(rtl.Sub, diff, bound, rtl.R(ctlIV)))
 		} else {
@@ -154,7 +122,7 @@ func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
 		if abs < 0 {
 			abs = -abs
 		}
-		trips := cb.NewReg()
+		trips := f.NewReg()
 		if abs&(abs-1) == 0 {
 			emit(rtl.SBinI(rtl.Shr, trips, rtl.R(diff), rtl.C(int64(bits.TrailingZeros64(uint64(abs))))))
 		} else {
@@ -170,7 +138,7 @@ func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
 			// delta = T * step
 			var delta rtl.Operand
 			if r.step != 0 {
-				d := cb.NewReg()
+				d := f.NewReg()
 				emit(rtl.BinI(rtl.Mul, d, rtl.R(trips), rtl.C(r.step)))
 				delta = rtl.R(d)
 			} else {
@@ -183,32 +151,32 @@ func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
 			// paper's own check is the exact "b + n <= a" form).
 			switch {
 			case r.step > 0:
-				lo := cb.NewReg()
+				lo := f.NewReg()
 				emit(rtl.BinI(rtl.Add, lo, rtl.R(base), rtl.C(r.minDisp)))
 				extra := r.maxDisp + r.maxWidth - r.step
 				if extra < 0 {
 					extra = 0
 				}
-				h1 := cb.NewReg()
+				h1 := f.NewReg()
 				emit(rtl.BinI(rtl.Add, h1, rtl.R(base), delta))
 				hi := h1
 				if extra != 0 {
-					hi = cb.NewReg()
+					hi = f.NewReg()
 					emit(rtl.BinI(rtl.Add, hi, rtl.R(h1), rtl.C(extra)))
 				}
 				r.lo, r.hi = rtl.R(lo), rtl.R(hi)
 			case r.step < 0:
-				l1 := cb.NewReg()
+				l1 := f.NewReg()
 				emit(rtl.BinI(rtl.Add, l1, rtl.R(base), delta))
-				lo := cb.NewReg()
+				lo := f.NewReg()
 				emit(rtl.BinI(rtl.Add, lo, rtl.R(l1), rtl.C(r.minDisp)))
-				hi := cb.NewReg()
+				hi := f.NewReg()
 				emit(rtl.BinI(rtl.Add, hi, rtl.R(base), rtl.C(r.maxDisp+r.maxWidth)))
 				r.lo, r.hi = rtl.R(lo), rtl.R(hi)
 			default:
-				lo := cb.NewReg()
+				lo := f.NewReg()
 				emit(rtl.BinI(rtl.Add, lo, rtl.R(base), rtl.C(r.minDisp)))
-				hi := cb.NewReg()
+				hi := f.NewReg()
 				emit(rtl.BinI(rtl.Add, hi, rtl.R(base), rtl.C(r.maxDisp+r.maxWidth)))
 				r.lo, r.hi = rtl.R(lo), rtl.R(hi)
 			}
@@ -228,11 +196,11 @@ func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
 		})
 		for _, k := range keys {
 			ra, rb := boundsOf(k.a), boundsOf(k.b)
-			c1 := cb.NewReg()
+			c1 := f.NewReg()
 			emit(rtl.SBinI(rtl.SetLE, c1, ra.hi, rb.lo))
-			c2 := cb.NewReg()
+			c2 := f.NewReg()
 			emit(rtl.SBinI(rtl.SetLE, c2, rb.hi, ra.lo))
-			okp := cb.NewReg()
+			okp := f.NewReg()
 			emit(rtl.BinI(rtl.Or, okp, rtl.R(c1), rtl.R(c2)))
 			combine(rtl.R(okp))
 			nPairs++
@@ -243,9 +211,9 @@ func emitChecks(cb checkBuilder, body []*rtl.Instr, m *machine.Machine,
 
 // rangeForBase computes the displacement envelope of every reference off
 // base inside the body, and its per-iteration step.
-func rangeForBase(base rtl.Reg, body []*rtl.Instr, info ivSource) *baseRange {
+func rangeForBase(base rtl.Reg, body []*rtl.Instr, info *iv.FlatInfo) *baseRange {
 	r := &baseRange{base: base}
-	if step, isIV := info.IVStep(base); isIV {
+	if step, isIV := ivStep(info, base); isIV {
 		r.step = step
 	}
 	first := true

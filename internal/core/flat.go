@@ -11,36 +11,12 @@ import (
 	"macc/internal/telemetry"
 )
 
-// Flat driver for memory access coalescing: the Figure 2/3/4/5 pipeline run
-// natively on rtl.FlatProgram. The classification, hazard, and check
-// generation stages are the exact shared code the pointer-graph driver uses
-// (over a decoded view of the body block), and the surgery stages — loop
-// replication, wide-reference insertion, preheader check emission, and
-// terminator retargeting — mirror their graph twins operation for operation,
-// including the NewReg/NewBlock allocation order, so both drivers produce
-// byte-identical functions, reports, remarks, and counters.
-
-// flatIV adapts iv.FlatInfo to ivSource.
-type flatIV struct{ info *iv.FlatInfo }
-
-func (s flatIV) Invariant(r rtl.Reg) bool { return s.info.Invariant(r) }
-
-func (s flatIV) IVStep(r rtl.Reg) (int64, bool) {
-	if biv := s.info.BasicIVs[r]; biv != nil {
-		return biv.Step, true
-	}
-	return 0, false
-}
-
-func (s flatIV) ControlInfo() (rtl.Reg, rtl.Operand, bool) {
-	if c := s.info.Control; c != nil {
-		return c.IV, c.Bound, true
-	}
-	return rtl.NoReg, rtl.Operand{}, false
-}
-
-// CoalesceMemoryAccessesFlat is CoalesceMemoryAccesses for function fi of a
-// flat program.
+// CoalesceMemoryAccessesFlat walks every loop of function fi innermost-first
+// and applies memory access coalescing where safe and profitable. It
+// returns one report per loop examined, and emits exactly one Passed or
+// Missed optimization remark per examined loop into em (plus Analysis
+// remarks for per-chunk hazard verdicts and run-time check emission). A nil
+// em disables remarks.
 func CoalesceMemoryAccessesFlat(fp *rtl.FlatProgram, fi int, m *machine.Machine, opts Options, em telemetry.Emitter) []LoopReport {
 	if !opts.Loads && !opts.Stores {
 		return nil
@@ -61,8 +37,10 @@ func CoalesceMemoryAccessesFlat(fp *rtl.FlatProgram, fi int, m *machine.Machine,
 	return reports
 }
 
-// flatBodyBlock is bodyBlock over block indices (-1 when no single body
-// block carries the references).
+// flatBodyBlock finds the single block carrying the loop's memory
+// references (-1 when there is none); coalescing requires them all in one
+// block (IsHazard's first test). The reason token distinguishes the two
+// failure shapes.
 func flatBodyBlock(f *rtl.FlatFn, l *cfg.FlatLoop) (int32, string) {
 	body := int32(-1)
 	for _, bi := range l.Blocks {
@@ -82,7 +60,7 @@ func flatBodyBlock(f *rtl.FlatFn, l *cfg.FlatLoop) (int32, string) {
 	return body, ""
 }
 
-// decodeFlatBlock materializes block bi as instruction views for the shared
+// decodeFlatBlock materializes block bi as instruction views for the
 // read-only analyses (classification, hazard walk, check ranges). The
 // decoded values are snapshots: later preheader emission moves absolute
 // instruction offsets but never changes the body's content.
@@ -132,10 +110,9 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 		return rep
 	}
 	info := iv.AnalyzeFlat(g, l)
-	src := flatIV{info}
 
 	body := decodeFlatBlock(fp, f, bodyBi)
-	parts := classifyPartitions(body, src)
+	parts := classifyPartitions(body, info)
 	if len(parts) == 0 {
 		rep.Reason = "partition:no-analyzable-bases"
 		return rep
@@ -145,7 +122,7 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 		rep.Reason = "partition:no-consecutive-runs"
 		return rep
 	}
-	safe := filterChunks(body, chunks, parts, src, m, opts, em, rep)
+	safe := filterChunks(body, chunks, parts, info, m, opts, em, rep)
 	if len(safe) == 0 {
 		return rep
 	}
@@ -158,8 +135,12 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 	return rep
 }
 
-// doProfitabilityAnalysisAndModifyFlat is doProfitabilityAnalysisAndModify
-// on the flat form; see that function for the Figure 3/5 structure.
+// doProfitabilityAnalysisAndModifyFlat is the paper's Figure 3: replicate
+// the loop, insert the wide references into the copy, statically schedule
+// both bodies, and adopt the copy only if it is faster (or Force is set).
+// On adoption the preheader gains the run-time alignment and alias checks
+// that select between the coalesced copy and the original safe loop at run
+// time (Figure 5's flow graph).
 func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph,
 	l *cfg.FlatLoop, bodyBi int32, body []*rtl.Instr, m *machine.Machine, opts Options,
 	chunks []*chunk, rep *LoopReport) bool {
@@ -198,8 +179,7 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 	}
 
 	info := reanalyzeFlat(fp, fi, g, l)
-	okCond, nInstrs, nPairs, nAligns, ok := emitChecks(flatChecks{f: f, bi: l.Preheader},
-		body, m, chunks, flatIV{info})
+	okCond, nInstrs, nPairs, nAligns, ok := emitChecks(f, l.Preheader, body, m, chunks, info)
 	if !ok {
 		f.TruncateBlocks(nBlocks)
 		rep.Reason = "checks:ungeneratable"
@@ -230,9 +210,10 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 	return true
 }
 
-// reanalyzeFlat is reanalyze on the flat form: a fresh CFG (on which the
-// just-appended clone region is unreachable, exactly as on the graph side),
-// the same loop found again by header, and fresh induction info.
+// reanalyzeFlat recomputes induction info for the loop for check
+// generation: a fresh CFG (on which the just-appended clone region is
+// unreachable), the same loop found again by header, and fresh induction
+// info.
 func reanalyzeFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.FlatLoop) *iv.FlatInfo {
 	g2 := cfg.NewFlat(fp, fi)
 	for _, l2 := range g2.FindLoops() {
@@ -244,7 +225,9 @@ func reanalyzeFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.FlatLoo
 	return iv.AnalyzeFlat(g, l)
 }
 
-// applyChunksFlat is applyChunks on the flat copy of the body block. The
+// applyChunksFlat rewrites the body copy: narrow loads become extracts fed
+// by a wide load placed before the first of the group; narrow stores become
+// an insert chain completed by a wide store after the last of the group. The
 // refs' indices are block-relative positions recorded on the original body,
 // valid in the copy because replication preserves layout; reads of the
 // replaced instructions' fields come from the decoded snapshot (identical to

@@ -6,6 +6,7 @@ import (
 
 	"macc/internal/cfg"
 	"macc/internal/dataflow"
+	"macc/internal/flattest"
 	"macc/internal/rtl"
 )
 
@@ -108,34 +109,64 @@ func buildLivenessFn() (*rtl.Fn, *rtl.Block, *rtl.Block, rtl.Reg, rtl.Reg, rtl.R
 	return f, header, body, i, acc, tmp
 }
 
-func TestLiveness(t *testing.T) {
-	f, header, body, i, acc, tmp := buildLivenessFn()
-	g := cfg.New(f)
-	lv := dataflow.ComputeLiveness(g)
+// liveness flattens f and computes its liveness, returning a block-name
+// lookup.
+func liveness(t *testing.T, f *rtl.Fn) (*rtl.FlatProgram, *dataflow.FlatLiveness, func(string) int32) {
+	t.Helper()
+	fp := flattest.Flat(t, f)
+	var lv dataflow.FlatLiveness
+	lv.Compute(cfg.NewFlat(fp, 0))
+	return fp, &lv, func(name string) int32 { return flattest.Block(t, fp, 0, name) }
+}
 
-	if !lv.LiveIn(header, i) || !lv.LiveIn(header, acc) {
+func TestLiveness(t *testing.T) {
+	f, _, _, i, acc, tmp := buildLivenessFn()
+	_, lv, blk := liveness(t, f)
+	liveIn := func(b string, r rtl.Reg) bool { return lv.LiveInSet(blk(b)).Has(int(r)) }
+	liveOut := func(b string, r rtl.Reg) bool { return lv.LiveOutSet(blk(b)).Has(int(r)) }
+
+	if !liveIn("header", i) || !liveIn("header", acc) {
 		t.Error("i and acc must be live into the header")
 	}
-	if lv.LiveIn(header, tmp) {
+	if liveIn("header", tmp) {
 		t.Error("tmp must not be live into the header")
 	}
-	if !lv.LiveOut(body, i) || !lv.LiveOut(body, acc) {
+	if !liveOut("body", i) || !liveOut("body", acc) {
 		t.Error("loop-carried registers must be live out of the body")
 	}
-	if lv.LiveOut(body, tmp) {
+	if liveOut("body", tmp) {
 		t.Error("tmp dies inside the body")
 	}
 	// acc is live out of the loop (returned).
-	if !lv.LiveOut(header, acc) {
+	if !liveOut("header", acc) {
 		t.Error("acc must be live out of the header (used at exit)")
 	}
 }
 
+// TestMaxPressure walks the body backwards from its live-out set: the peak
+// number of simultaneously live registers shows the loop-carried values and
+// the body temporary live together.
 func TestMaxPressure(t *testing.T) {
-	f, _, body, _, _, _ := buildLivenessFn()
-	g := cfg.New(f)
-	lv := dataflow.ComputeLiveness(g)
-	p := lv.MaxPressure(body)
+	f, _, _, _, _, _ := buildLivenessFn()
+	fp, lv, blk := liveness(t, f)
+	ff := &fp.Fns[0]
+	body := blk("body")
+	cur := lv.LiveOutSet(body).Clone()
+	p := cur.Count()
+	b := &ff.Blocks[body]
+	for i := b.InstrEnd - 1; i >= b.InstrStart; i-- {
+		if d, ok := ff.Def(i); ok {
+			cur.Clear(int(d))
+		}
+		ff.SrcSlots(i, func(o *rtl.Operand) {
+			if o.Kind == rtl.KindReg {
+				cur.Set(int(o.Reg))
+			}
+		})
+		if c := cur.Count(); c > p {
+			p = c
+		}
+	}
 	// i, acc, tmp, n(unused in body; not live) -> at least 3 live at once.
 	if p < 3 {
 		t.Errorf("pressure = %d, want >= 3", p)
@@ -153,7 +184,7 @@ func TestDefUse(t *testing.T) {
 		rtl.BinI(rtl.Add, t2, rtl.R(t2), rtl.C(1)),
 		rtl.RetI(rtl.R(t2)),
 	}
-	du := dataflow.ComputeDefUse(f)
+	du := dataflow.ComputeFlatDefUse(&flattest.Flat(t, f).Fns[0])
 	if du.DefCount(t1) != 1 || du.UseCount(t1) != 2 {
 		t.Errorf("t1 def/use = %d/%d, want 1/2", du.DefCount(t1), du.UseCount(t1))
 	}
@@ -164,8 +195,8 @@ func TestDefUse(t *testing.T) {
 		t.Error("param classification wrong")
 	}
 	site, ok := du.SingleDef(t1)
-	if !ok || site.Instr != entry.Instrs[0] {
-		t.Error("single def site wrong")
+	if !ok || site != (dataflow.FlatDefSite{Block: 0, Index: 0, Instr: 0}) {
+		t.Errorf("single def site %+v, want the entry's first instruction", site)
 	}
 	if _, ok := du.SingleDef(t2); ok {
 		t.Error("t2 is multiply defined")
@@ -185,7 +216,7 @@ func TestDefUse(t *testing.T) {
 		rtl.BinI(rtl.Add, f2.Params[0], rtl.R(f2.Params[0]), rtl.C(1)),
 		rtl.RetI(rtl.R(f2.Params[0])),
 	}
-	du2 := dataflow.ComputeDefUse(f2)
+	du2 := dataflow.ComputeFlatDefUse(&flattest.Flat(t, f2).Fns[0])
 	if du2.Immutable(f2.Params[0]) {
 		t.Error("reassigned param must not be immutable")
 	}

@@ -14,8 +14,9 @@ type FlatDefSite struct {
 	Instr int32
 }
 
-// FlatDefUse is DefUse over a FlatFn, tabulated in one dense-array scan
-// with no per-instruction allocation.
+// FlatDefUse records, per register, how many definitions and uses a
+// FlatFn has and where a single definition lives, tabulated in one
+// dense-array scan with no per-instruction allocation.
 type FlatDefUse struct {
 	defCount []int32
 	useCount []int32
@@ -23,7 +24,7 @@ type FlatDefUse struct {
 	isParam  []bool
 }
 
-// ComputeFlatDefUse mirrors ComputeDefUse on the flat form.
+// ComputeFlatDefUse tabulates the definitions and uses of f.
 func ComputeFlatDefUse(f *rtl.FlatFn) *FlatDefUse {
 	du := &FlatDefUse{}
 	du.Compute(f)
@@ -103,8 +104,8 @@ type FlatLiveness struct {
 	slab     BitSet
 }
 
-// Compute runs the same iterative backward liveness as ComputeLiveness,
-// over a FlatGraph, reusing lv's storage when it is large enough.
+// Compute runs iterative backward liveness over a FlatGraph, to a fixpoint
+// in reverse RPO, reusing lv's storage when it is large enough.
 func (lv *FlatLiveness) Compute(g *cfg.FlatGraph) {
 	f := g.F
 	n := f.NumRegs()

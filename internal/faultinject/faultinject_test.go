@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"macc/internal/faultinject"
+	"macc/internal/flattest"
 	"macc/internal/machine"
+	"macc/internal/opt"
 	"macc/internal/pipeline"
 	"macc/internal/rtl"
 	"macc/internal/rtlgen"
@@ -41,20 +43,29 @@ func branchyFn() *rtl.Fn {
 
 var testArgs = [][]int64{{0, 0, 0}, {1, 2, 3}, {255, 1023, -7}}
 
-func behavior(t *testing.T, f *rtl.Fn) string {
+func behavior(t *testing.T, fp *rtl.FlatProgram) string {
 	t.Helper()
-	fp, err := pipeline.Behavior(rtl.NewProgram(f), machine.M68030(), rtlgen.MemWindow*2, f.Name, testArgs)
+	b, err := pipeline.BehaviorFlat(fp, machine.M68030(), rtlgen.MemWindow*2, "f", testArgs)
 	if err != nil {
 		t.Fatalf("behavior: %v", err)
 	}
-	return fp
+	return b
 }
 
-// TestStructuralFaultsAreCaughtAndRolledBack injects every checkpoint-visible
-// fault into a pass and asserts the hardened pipeline's contract: the fault
-// is caught, the function rolls back to bit-identical simulator behaviour,
-// and the incident names the sabotaged pass.
-func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
+// victim is a pass named "victim" whose Run is inner.
+func victim(inner func(*rtl.FlatProgram, int) error) pipeline.FlatPass {
+	return pipeline.FlatPass{Name: "victim", Run: inner}
+}
+
+func noop(*rtl.FlatProgram, int) error { return nil }
+
+// checkStructuralFaults injects every checkpoint-visible fault, as a direct
+// mutation of the struct-of-arrays form, after inner runs as the victim
+// pass, and asserts the hardened pipeline's contract: the fault is caught
+// by VerifyFn, the flat snapshot rolls the function back to a byte-identical
+// image with bit-identical simulator behaviour — undoing inner's own work
+// too — and the incident names the sabotaged pass.
+func checkStructuralFaults(t *testing.T, inner func(*rtl.FlatProgram, int) error) {
 	kinds := []faultinject.Kind{
 		faultinject.Panic, faultinject.ClobberReg,
 		faultinject.DropTerminator, faultinject.RetargetBranch,
@@ -67,15 +78,14 @@ func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 				if seed == 0 {
 					f = branchyFn() // every kind has a victim here
 				}
-				want := behavior(t, f)
+				fp := flattest.Flat(t, f)
+				want := behavior(t, fp)
 				orig := f.String()
 
 				inj := &faultinject.Injector{Pass: "victim", Kind: kind, Seed: seed}
 				diags := &pipeline.Diagnostics{}
-				passes := []pipeline.Pass{
-					inj.Wrap(pipeline.Pass{Name: "victim", Run: func(*rtl.Fn) error { return nil }}),
-				}
-				if err := pipeline.Run(f, passes, pipeline.Options{Diags: diags}); err != nil {
+				passes := []pipeline.FlatPass{inj.Wrap(victim(inner))}
+				if err := pipeline.RunFlat(fp, 0, passes, pipeline.Options{Diags: diags}); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				if !inj.Fired() {
@@ -90,10 +100,10 @@ func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 				if len(diags.Incidents) != 1 || diags.Incidents[0].Pass != "victim" {
 					t.Fatalf("seed %d: fault not caught/attributed: %+v", seed, diags.Incidents)
 				}
-				if f.String() != orig {
+				if flattest.Unflatten(t, fp).Fns[0].String() != orig {
 					t.Fatalf("seed %d: function not rolled back", seed)
 				}
-				if behavior(t, f) != want {
+				if behavior(t, fp) != want {
 					t.Fatalf("seed %d: behaviour not bit-identical after rollback", seed)
 				}
 			}
@@ -104,6 +114,22 @@ func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
 	}
 }
 
+// TestStructuralFaultsAreCaughtAndRolledBack sabotages a pass that does
+// real work (the clean-up suite), so rollback must undo the pass as well as
+// the fault.
+func TestStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
+	checkStructuralFaults(t, func(fp *rtl.FlatProgram, fi int) error {
+		opt.FlatClean(fp, fi)
+		return nil
+	})
+}
+
+// TestFlatStructuralFaultsAreCaughtAndRolledBack sabotages a pass that
+// changes nothing, so every difference the checkpoint sees is the fault's.
+func TestFlatStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
+	checkStructuralFaults(t, noop)
+}
+
 // TestFlipOpIsSilentButBisectable: the semantic fault passes the verifier
 // (a silent miscompile), so the pipeline cannot catch it — but differential
 // bisection attributes it.
@@ -111,34 +137,32 @@ func TestFlipOpIsSilentButBisectable(t *testing.T) {
 	// Find a seed whose function has a flippable op that actually changes
 	// behaviour; the injection itself must stay checkpoint-invisible.
 	var (
-		orig, f *rtl.Fn
-		want    string
-		seed    int64
+		orig *rtl.Fn
+		want string
+		seed int64
 	)
 	for seed = 0; ; seed++ {
 		if seed == 30 {
 			t.Fatal("no seed in 0..29 produced a divergent flip")
 		}
 		orig = genFn(t, seed)
-		want = behavior(t, orig)
-		f = orig.Clone()
+		fp := flattest.Flat(t, orig)
+		want = behavior(t, fp)
 		inj := &faultinject.Injector{Pass: "victim", Kind: faultinject.FlipOp, Seed: seed}
 		diags := &pipeline.Diagnostics{}
-		passes := []pipeline.Pass{
-			{Name: "pre", Run: func(*rtl.Fn) error { return nil }},
-			inj.Wrap(pipeline.Pass{Name: "victim", Run: func(*rtl.Fn) error { return nil }}),
-			{Name: "post", Run: func(*rtl.Fn) error { return nil }},
+		passes := []pipeline.FlatPass{
+			{Name: "pre", Run: noop}, inj.Wrap(victim(noop)), {Name: "post", Run: noop},
 		}
-		if err := pipeline.Run(f, passes, pipeline.Options{Diags: diags}); err != nil {
+		if err := pipeline.RunFlat(fp, 0, passes, pipeline.Options{Diags: diags}); err != nil {
 			t.Fatal(err)
 		}
 		if diags.Degraded() {
 			t.Fatalf("seed %d: flip-op should evade the structural checkpoint, got %+v", seed, diags.Incidents)
 		}
-		if err := f.Verify(); err != nil {
+		if err := fp.VerifyFn(0); err != nil {
 			t.Fatalf("seed %d: flip-op must keep the function verifiable: %v", seed, err)
 		}
-		if inj.Fired() && behavior(t, f) != want {
+		if inj.Fired() && behavior(t, fp) != want {
 			break
 		}
 	}
@@ -146,18 +170,16 @@ func TestFlipOpIsSilentButBisectable(t *testing.T) {
 	// A fresh injector reproduces the same corruption during bisection and
 	// the differential predicate pins it on the sabotaged pass.
 	inj2 := &faultinject.Injector{Pass: "victim", Kind: faultinject.FlipOp, Seed: seed}
-	passes2 := []pipeline.Pass{
-		{Name: "pre", Run: func(*rtl.Fn) error { return nil }},
-		inj2.Wrap(pipeline.Pass{Name: "victim", Run: func(*rtl.Fn) error { return nil }}),
-		{Name: "post", Run: func(*rtl.Fn) error { return nil }},
+	passes2 := []pipeline.FlatPass{
+		{Name: "pre", Run: noop}, inj2.Wrap(victim(noop)), {Name: "post", Run: noop},
 	}
-	bad := func(f *rtl.Fn) error {
-		if behavior(t, f) != want {
+	bad := func(fp *rtl.FlatProgram, _ int) error {
+		if behavior(t, fp) != want {
 			return errors.New("diverges from reference")
 		}
 		return nil
 	}
-	res, err := pipeline.Bisect(func() *rtl.Fn { return orig.Clone() }, passes2, bad)
+	res, err := pipeline.Bisect(rtl.NewProgram(orig), 0, passes2, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +192,10 @@ func TestFlipOpIsSilentButBisectable(t *testing.T) {
 // reproduces exactly.
 func TestDeterminism(t *testing.T) {
 	corrupt := func() string {
-		f := genFn(t, 7)
+		fp := flattest.Flat(t, genFn(t, 7))
 		inj := &faultinject.Injector{Pass: "p", Kind: faultinject.ClobberReg, Seed: 42}
-		inj.Wrap(pipeline.Pass{Name: "p", Run: func(*rtl.Fn) error { return nil }}).Run(f)
-		return f.String()
+		inj.Wrap(pipeline.FlatPass{Name: "p", Run: noop}).Run(fp, 0)
+		return flattest.Unflatten(t, fp).String()
 	}
 	if corrupt() != corrupt() {
 		t.Error("same seed must inject the same corruption")
@@ -182,8 +204,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestWrapLeavesOtherPassesAlone(t *testing.T) {
 	inj := &faultinject.Injector{Pass: "victim", Kind: faultinject.Panic}
-	p := pipeline.Pass{Name: "other", Run: func(*rtl.Fn) error { return nil }}
-	if err := inj.Wrap(p).Run(genFn(t, 0)); err != nil {
+	p := pipeline.FlatPass{Name: "other", Run: noop}
+	if err := inj.Wrap(p).Run(flattest.Flat(t, genFn(t, 0)), 0); err != nil {
 		t.Fatal(err)
 	}
 	if inj.Fired() {
@@ -203,91 +225,16 @@ func TestParseKindRoundTrip(t *testing.T) {
 	}
 }
 
-// flatten wraps f in a single-function flat program.
-func flatten(t *testing.T, f *rtl.Fn) *rtl.FlatProgram {
-	t.Helper()
-	fp, err := rtl.Flatten(rtl.NewProgram(f))
-	if err != nil {
-		t.Fatalf("flatten: %v", err)
-	}
-	return fp
-}
-
-// TestFlatStructuralFaultsAreCaughtAndRolledBack is the flat-pipeline twin of
-// TestStructuralFaultsAreCaughtAndRolledBack: every checkpoint-visible fault,
-// injected as a direct mutation of the struct-of-arrays form, must be caught
-// by VerifyFn, rolled back by the flat snapshot journal to a byte-identical
-// image with bit-identical behaviour, and attributed to the sabotaged pass.
-func TestFlatStructuralFaultsAreCaughtAndRolledBack(t *testing.T) {
-	kinds := []faultinject.Kind{
-		faultinject.Panic, faultinject.ClobberReg,
-		faultinject.DropTerminator, faultinject.RetargetBranch,
-	}
-	for _, kind := range kinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			fired := 0
-			for seed := int64(0); seed < 20; seed++ {
-				f := genFn(t, seed)
-				if seed == 0 {
-					f = branchyFn() // every kind has a victim here
-				}
-				want := behavior(t, f)
-				fp := flatten(t, f)
-				orig, err := fp.Unflatten()
-				if err != nil {
-					t.Fatalf("seed %d: unflatten: %v", seed, err)
-				}
-				origText := orig.String()
-
-				inj := &faultinject.Injector{Pass: "victim", Kind: kind, Seed: seed}
-				diags := &pipeline.Diagnostics{}
-				passes := []pipeline.FlatPass{
-					inj.WrapFlat(pipeline.FlatPass{Name: "victim",
-						Run: func(*rtl.FlatProgram, int) error { return nil }}),
-				}
-				if err := pipeline.RunFlat(fp, 0, passes, pipeline.Options{Diags: diags}); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if !inj.Fired() {
-					if diags.Degraded() {
-						t.Fatalf("seed %d: incident without an injection: %+v", seed, diags.Incidents)
-					}
-					continue
-				}
-				fired++
-				if len(diags.Incidents) != 1 || diags.Incidents[0].Pass != "victim" {
-					t.Fatalf("seed %d: fault not caught/attributed: %+v", seed, diags.Incidents)
-				}
-				back, err := fp.Unflatten()
-				if err != nil {
-					t.Fatalf("seed %d: unflatten after rollback: %v", seed, err)
-				}
-				if back.String() != origText {
-					t.Fatalf("seed %d: flat image not rolled back", seed)
-				}
-				if behavior(t, back.Fns[0]) != want {
-					t.Fatalf("seed %d: behaviour not bit-identical after rollback", seed)
-				}
-			}
-			if fired < 3 {
-				t.Fatalf("injector fired on only %d/20 seeds", fired)
-			}
-		})
-	}
-}
-
-// TestFlatFlipOpIsSilent: the semantic fault must evade the flat verifier
-// exactly as it evades the graph one — the pipeline keeps the corrupted
-// image, visible only to differential execution.
+// TestFlatFlipOpIsSilent: the semantic fault must evade the verifier —
+// the pipeline keeps the corrupted image, visible only to differential
+// execution.
 func TestFlatFlipOpIsSilent(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		f := genFn(t, seed)
-		fp := flatten(t, f)
+		fp := flattest.Flat(t, genFn(t, seed))
 		inj := &faultinject.Injector{Pass: "victim", Kind: faultinject.FlipOp, Seed: seed}
 		diags := &pipeline.Diagnostics{}
 		passes := []pipeline.FlatPass{
-			inj.WrapFlat(pipeline.FlatPass{Name: "victim",
-				Run: func(*rtl.FlatProgram, int) error { return nil }}),
+			inj.Wrap(victim(noop)),
 		}
 		if err := pipeline.RunFlat(fp, 0, passes, pipeline.Options{Diags: diags}); err != nil {
 			t.Fatal(err)

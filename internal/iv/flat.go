@@ -9,19 +9,18 @@ import (
 	"macc/internal/telemetry"
 )
 
-// Flat twins of the induction-variable analysis, mirroring Analyze over a
-// FlatFn so the flat coalescer sees exactly the IVs, invariants, and
-// control test the graph coalescer would. Instructions are identified by
-// absolute index instead of pointer.
+// The induction-variable analysis over a FlatFn. Instructions are
+// identified by absolute index.
 
-// FlatBasicIV is BasicIV with instruction indices.
+// FlatBasicIV is a register whose only in-loop definitions add a constant.
 type FlatBasicIV struct {
 	Reg  rtl.Reg
 	Step int64 // net change per iteration
 	Incs []int32
 }
 
-// FlatControl is Control with instruction indices.
+// FlatControl describes the loop's header exit test, normalized so the loop
+// continues while "IV cmp Bound" holds.
 type FlatControl struct {
 	Cmp    int32 // the Set* compare in the header
 	Branch int32 // the header terminator
@@ -31,7 +30,7 @@ type FlatControl struct {
 	Signed bool
 }
 
-// FlatInfo is Info for one flat natural loop.
+// FlatInfo is the result of analyzing one natural loop.
 type FlatInfo struct {
 	Loop     *cfg.FlatLoop
 	Graph    *cfg.FlatGraph
@@ -41,7 +40,9 @@ type FlatInfo struct {
 	defsInLoop map[rtl.Reg]int
 }
 
-// AnalyzeFlat mirrors Analyze on the flat form.
+// AnalyzeFlat inspects a natural loop and finds its invariant registers,
+// basic induction variables, and controlling test. It never fails; absent
+// features are simply nil/empty.
 func AnalyzeFlat(g *cfg.FlatGraph, l *cfg.FlatLoop) *FlatInfo {
 	info := &FlatInfo{
 		Loop:       l,
@@ -238,8 +239,12 @@ func (info *FlatInfo) findControl() {
 	tryIV(b, a, swapCmp(op))
 }
 
-// decompose mirrors Info.decompose over a flat def-use table: a definition
-// lies inside the loop when its block does.
+// decompose expresses the value of reg r (at the top of a loop iteration)
+// as an affine form over invariant registers and basic IVs, reading single
+// definitions from du; a definition lies inside the loop when its block
+// does. IV-derived temporaries must be defined inside the loop by pure
+// single-definition instructions; IV increments must live in the latch so
+// every in-body use sees the iteration-start value.
 func (info *FlatInfo) decompose(du *dataflow.FlatDefUse, r rtl.Reg, depth int) (affine, bool) {
 	if depth > maxDecomposeDepth {
 		return affine{}, false
@@ -315,8 +320,12 @@ func (info *FlatInfo) refreshControl(cmpRel int32) {
 	info.Control.Branch, _, _ = f.TermIdx(h)
 }
 
-// StrengthReduce mirrors Info.StrengthReduce for function fi, reading
-// single definitions from du (computed after the loop's preheader exists).
+// StrengthReduce rewrites every IV-affine memory address in the loop to use
+// a pointer induction variable: the invariant part is computed once in the
+// preheader, the pointer advances by a constant in the latch, and the
+// memory reference becomes base+displacement. Returns the pointer IVs
+// created. The loop must have a preheader; du holds the single definitions
+// of function fi (computed after the preheader exists).
 // The rewrites of the memory references happen before any code is emitted,
 // and the preheader and latch code is spliced in one batch per block, so the
 // analysis' instruction indices never go stale mid-transformation.
@@ -423,7 +432,12 @@ func (info *FlatInfo) StrengthReduce(fp *rtl.FlatProgram, fi int, du *dataflow.F
 	return ptrs
 }
 
-// ReplaceTest mirrors Info.ReplaceTest on the flat form.
+// ReplaceTest performs linear function test replacement: when the loop's
+// controlling comparison tests a basic IV that a pointer IV linearizes, the
+// test is rewritten to compare the pointer against a bound computed once in
+// the preheader. This is what frees EliminateInductionVariables (dead-IV
+// removal in the opt package) to delete the counter. Reports whether the
+// test was replaced.
 func (info *FlatInfo) ReplaceTest(fp *rtl.FlatProgram, fi int, ptrs []*PtrIV) bool {
 	ctl := info.Control
 	l := info.Loop
@@ -475,7 +489,11 @@ func (info *FlatInfo) ReplaceTest(fp *rtl.FlatProgram, fi int, ptrs []*PtrIV) bo
 	return true
 }
 
-// Remark mirrors Info.Remark.
+// Remark summarizes this loop's induction-variable analysis as an Analysis
+// telemetry remark: how many basic IVs were found, whether the controlling
+// trip test was recognized, and the control IV's step. Passes emit it so
+// every downstream accept/reject (unrolling, coalescing) can be read
+// against the analysis facts it depended on.
 func (info *FlatInfo) Remark(pass, fn string) telemetry.Remark {
 	rem := telemetry.Remark{
 		Kind: telemetry.Analysis,

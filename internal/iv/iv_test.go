@@ -5,6 +5,7 @@ import (
 
 	"macc/internal/cfg"
 	"macc/internal/dataflow"
+	"macc/internal/flattest"
 	"macc/internal/iv"
 	"macc/internal/opt"
 	"macc/internal/rtl"
@@ -15,12 +16,12 @@ import (
 //	for (i = 0; i < n; i++) acc += M2[a + 2*i];
 //
 // returning the function and the registers of interest.
-func buildArrayLoop() (f *rtl.Fn, iReg, accReg rtl.Reg, body *rtl.Block) {
+func buildArrayLoop() (f *rtl.Fn, iReg, accReg rtl.Reg) {
 	f = rtl.NewFn("t", 2)
 	a, n := f.Params[0], f.Params[1]
 	entry := f.Entry()
 	header := f.NewBlock("header")
-	body = f.NewBlock("body")
+	body := f.NewBlock("body")
 	latch := f.NewBlock("latch")
 	exit := f.NewBlock("exit")
 	i, acc, cond := f.NewReg(), f.NewReg(), f.NewReg()
@@ -39,20 +40,56 @@ func buildArrayLoop() (f *rtl.Fn, iReg, accReg rtl.Reg, body *rtl.Block) {
 	}
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
-	return f, i, acc, body
+	return f, i, acc
 }
 
-func analyze(f *rtl.Fn) (*cfg.Graph, *cfg.Loop, *iv.Info) {
-	g := cfg.New(f)
+// loop is one analyzed loop of a flattened test function.
+type loop struct {
+	t    *testing.T
+	fp   *rtl.FlatProgram
+	l    *cfg.FlatLoop
+	info *iv.FlatInfo
+}
+
+// analyze flattens f, gives its first loop a preheader, and analyzes it.
+func analyze(t *testing.T, f *rtl.Fn) *loop {
+	t.Helper()
+	fp := flattest.Flat(t, f)
+	g := cfg.NewFlat(fp, 0)
+	g.EnsurePreheader(g.FindLoops()[0])
+	g = cfg.NewFlat(fp, 0)
 	l := g.FindLoops()[0]
 	g.EnsurePreheader(l)
-	du := dataflow.ComputeDefUse(f)
-	return g, l, iv.Analyze(g, l, du)
+	return &loop{t: t, fp: fp, l: l, info: iv.AnalyzeFlat(g, l)}
+}
+
+func (lp *loop) strengthReduce() []*iv.PtrIV {
+	return lp.info.StrengthReduce(lp.fp, 0, dataflow.ComputeFlatDefUse(&lp.fp.Fns[0]))
+}
+
+func (lp *loop) replaceTest(ptrs []*iv.PtrIV) bool { return lp.info.ReplaceTest(lp.fp, 0, ptrs) }
+
+// block returns the instructions of the block labelled name.
+func (lp *loop) block(name string) []rtl.FlatInstr {
+	f := &lp.fp.Fns[0]
+	b := f.Blocks[flattest.Block(lp.t, lp.fp, 0, name)]
+	var out []rtl.FlatInstr
+	for i := b.InstrStart; i < b.InstrEnd; i++ {
+		out = append(out, f.Instr(i))
+	}
+	return out
+}
+
+// verify fails the test when the function no longer verifies.
+func (lp *loop) verify() {
+	if err := lp.fp.VerifyFn(0); err != nil {
+		lp.t.Error(err)
+	}
 }
 
 func TestBasicIVDetection(t *testing.T) {
-	f, i, acc, _ := buildArrayLoop()
-	_, _, info := analyze(f)
+	f, i, acc := buildArrayLoop()
+	info := analyze(t, f).info
 	biv := info.BasicIVs[i]
 	if biv == nil {
 		t.Fatal("i not detected as basic IV")
@@ -81,7 +118,7 @@ func TestNegativeStepIV(t *testing.T) {
 	body.Instrs = []*rtl.Instr{rtl.JumpI(latch)}
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Sub, i, rtl.R(i), rtl.C(2)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(i))}
-	_, _, info := analyze(f)
+	info := analyze(t, f).info
 	biv := info.BasicIVs[i]
 	if biv == nil || biv.Step != -2 {
 		t.Fatalf("descending IV not detected: %+v", biv)
@@ -92,8 +129,8 @@ func TestNegativeStepIV(t *testing.T) {
 }
 
 func TestControlRecognition(t *testing.T) {
-	f, i, _, _ := buildArrayLoop()
-	_, _, info := analyze(f)
+	f, i, _ := buildArrayLoop()
+	info := analyze(t, f).info
 	ctl := info.Control
 	if ctl == nil {
 		t.Fatal("control test not recognized")
@@ -122,15 +159,15 @@ func TestControlThroughOffset(t *testing.T) {
 	}
 	body.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(8)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(i))}
-	_, _, info := analyze(f)
+	info := analyze(t, f).info
 	if info.Control == nil || info.Control.IV != i {
 		t.Fatalf("offset control not seen through: %+v", info.Control)
 	}
 }
 
 func TestInvariantClassification(t *testing.T) {
-	f, i, acc, _ := buildArrayLoop()
-	_, _, info := analyze(f)
+	f, i, acc := buildArrayLoop()
+	info := analyze(t, f).info
 	if !info.Invariant(f.Params[0]) || !info.Invariant(f.Params[1]) {
 		t.Error("parameters must be invariant")
 	}
@@ -140,9 +177,9 @@ func TestInvariantClassification(t *testing.T) {
 }
 
 func TestStrengthReduceCreatesPointerIV(t *testing.T) {
-	f, _, _, body := buildArrayLoop()
-	_, l, info := analyze(f)
-	ptrs := info.StrengthReduce(f)
+	f, _, _ := buildArrayLoop()
+	lp := analyze(t, f)
+	ptrs := lp.strengthReduce()
 	if len(ptrs) != 1 {
 		t.Fatalf("got %d pointer IVs, want 1", len(ptrs))
 	}
@@ -151,19 +188,19 @@ func TestStrengthReduceCreatesPointerIV(t *testing.T) {
 		t.Errorf("scale/step = %d/%d, want 2/2", p.Scale, p.Step)
 	}
 	// The load must now use the pointer directly.
-	var load *rtl.Instr
-	for _, in := range body.Instrs {
+	var load rtl.FlatInstr
+	for _, in := range lp.block("body") {
 		if in.Op == rtl.Load {
 			load = in
 		}
 	}
 	if r, ok := load.A.IsReg(); !ok || r != p.Reg {
-		t.Errorf("load base not rewritten: %s", load)
+		t.Errorf("load base not rewritten: %+v", load)
 	}
 	// The latch must advance the pointer.
 	foundStep := false
-	for _, in := range l.Latch.Instrs {
-		if d, ok := in.Def(); ok && d == p.Reg && in.Op == rtl.Add {
+	for _, in := range lp.block("latch") {
+		if in.Dst == p.Reg && in.Op == rtl.Add {
 			if c, _ := in.B.IsConst(); c == 2 {
 				foundStep = true
 			}
@@ -172,9 +209,7 @@ func TestStrengthReduceCreatesPointerIV(t *testing.T) {
 	if !foundStep {
 		t.Error("pointer step not in latch")
 	}
-	if err := f.Verify(); err != nil {
-		t.Error(err)
-	}
+	lp.verify()
 }
 
 func TestStrengthReduceSharesGroups(t *testing.T) {
@@ -210,13 +245,13 @@ func TestStrengthReduceSharesGroups(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	_, _, info := analyze(f)
-	ptrs := info.StrengthReduce(f)
+	lp := analyze(t, f)
+	ptrs := lp.strengthReduce()
 	if len(ptrs) != 1 {
 		t.Fatalf("expected one shared pointer IV, got %d", len(ptrs))
 	}
 	var disps []int64
-	for _, in := range body.Instrs {
+	for _, in := range lp.block("b") {
 		if in.Op == rtl.Load {
 			disps = append(disps, in.Disp)
 		}
@@ -227,46 +262,46 @@ func TestStrengthReduceSharesGroups(t *testing.T) {
 }
 
 func TestReplaceTestEliminatesCounter(t *testing.T) {
-	f, i, _, _ := buildArrayLoop()
-	_, l, info := analyze(f)
-	ptrs := info.StrengthReduce(f)
-	if !info.ReplaceTest(f, ptrs) {
+	f, i, _ := buildArrayLoop()
+	lp := analyze(t, f)
+	ptrs := lp.strengthReduce()
+	if !lp.replaceTest(ptrs) {
 		t.Fatal("test not replaced")
 	}
 	// The header compare now tests the pointer.
-	cmp := info.Control.Cmp
+	cmp := lp.fp.Fns[0].Instr(lp.info.Control.Cmp)
 	if r, ok := cmp.A.IsReg(); !ok || r != ptrs[0].Reg {
 		t.Errorf("compare A = %v, want pointer", cmp.A)
 	}
 	// After dead-IV elimination the counter disappears entirely.
-	opt.EliminateDeadIVs(f)
-	opt.Clean(f)
-	for _, b := range f.Blocks {
-		if b == l.Preheader {
+	preheader := lp.fp.SymName(lp.fp.Fns[0].Blocks[lp.l.Preheader].Name)
+	opt.FlatEliminateDeadIVs(lp.fp, 0)
+	opt.FlatClean(lp.fp, 0)
+	out := flattest.Unflatten(t, lp.fp).Fns[0]
+	for _, b := range out.Blocks {
+		if b.Name == preheader {
 			continue // the preheader may still read i's initial value
 		}
 		for _, in := range b.Instrs {
 			if d, ok := in.Def(); ok && d == i {
 				t.Errorf("counter definition survives in %s: %s", b, in)
 			}
-			if in.UsesReg(i) && b != l.Preheader {
+			if in.UsesReg(i) {
 				t.Errorf("counter use survives in %s: %s", b, in)
 			}
 		}
 	}
-	if err := f.Verify(); err != nil {
-		t.Error(err)
-	}
+	lp.verify()
 }
 
 func TestReplaceTestDeclinesNonStrict(t *testing.T) {
-	f, _, _, _ := buildArrayLoop()
-	_, _, info := analyze(f)
+	f, _, _ := buildArrayLoop()
+	lp := analyze(t, f)
 	// Force the control op to <=: replacement must refuse (inexact under
 	// scaling).
-	info.Control.Op = rtl.SetLE
-	ptrs := info.StrengthReduce(f)
-	if info.ReplaceTest(f, ptrs) {
+	lp.info.Control.Op = rtl.SetLE
+	ptrs := lp.strengthReduce()
+	if lp.replaceTest(ptrs) {
 		t.Error("non-strict test must not be replaced")
 	}
 }
@@ -296,8 +331,7 @@ func TestDecomposeRejectsNonAffine(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	_, _, info := analyze(f)
-	if ptrs := info.StrengthReduce(f); len(ptrs) != 0 {
+	if ptrs := analyze(t, f).strengthReduce(); len(ptrs) != 0 {
 		t.Errorf("non-affine address strength-reduced: %d IVs", len(ptrs))
 	}
 }
@@ -330,8 +364,8 @@ func TestStrengthReduceNegativeScale(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	_, _, info := analyze(f)
-	ptrs := info.StrengthReduce(f)
+	lp := analyze(t, f)
+	ptrs := lp.strengthReduce()
 	if len(ptrs) != 1 {
 		t.Fatalf("pointer IVs = %d, want 1", len(ptrs))
 	}
@@ -339,13 +373,11 @@ func TestStrengthReduceNegativeScale(t *testing.T) {
 		t.Errorf("scale/step = %d/%d, want -1/-1", ptrs[0].Scale, ptrs[0].Step)
 	}
 	// LFTR must flip the comparison direction for the descending pointer.
-	if !info.ReplaceTest(f, ptrs) {
+	if !lp.replaceTest(ptrs) {
 		t.Fatal("test not replaced")
 	}
-	if info.Control.Op != rtl.SetGT {
-		t.Errorf("descending control op = %s, want >", info.Control.Op)
+	if lp.info.Control.Op != rtl.SetGT {
+		t.Errorf("descending control op = %s, want >", lp.info.Control.Op)
 	}
-	if err := f.Verify(); err != nil {
-		t.Error(err)
-	}
+	lp.verify()
 }

@@ -1,3 +1,17 @@
+// Package opt implements the machine-independent clean-up optimizations the
+// vpo back end applies around memory access coalescing: constant folding and
+// propagation, copy propagation, algebraic simplification, local common
+// subexpression elimination, dead code elimination, and control-flow
+// tidying. They matter here because the coalescer's offset and induction
+// analyses expect addresses in a canonical base+displacement form that these
+// passes produce.
+//
+// Every pass runs natively on the flat form: on FlatFn's dense arrays
+// through the flat editing layer (in-place SetInstr rewrites, kill marks
+// plus one Compact sweep for deletions). This file holds the per-instruction
+// rewrites, jump threading, address normalization and loop-invariant
+// hoisting; flatclean.go holds the clean-up suite FlatClean runs to a
+// fixpoint.
 package opt
 
 import (
@@ -7,14 +21,11 @@ import (
 	"macc/internal/rtl"
 )
 
-// This file and flatclean.go are the native flat-form port of the clean-up
-// suite: every pass is a line-for-line twin of its pointer-graph
-// counterpart in this package, operating on FlatFn's dense arrays through the flat editing
-// layer (in-place SetInstr rewrites, kill marks + one Compact sweep where
-// the graph pass rebuilds an instruction slice). The twins must stay
-// behaviorally identical — the differential tests pin flat-pipeline output
-// byte-identical to the graph pipeline — so any change to a graph pass in
-// opt.go/gdce.go/collapse.go/peephole.go/addrfold.go must land here too.
+// affVal is "the block-entry value of register base, plus k".
+type affVal struct {
+	base rtl.Reg // register whose block-entry value anchors this
+	k    int64
+}
 
 func flatFoldInstr(f *rtl.FlatFn, i int32) bool {
 	a, aok := f.A[i].IsConst()
@@ -172,8 +183,9 @@ func flatReduceInstr(f *rtl.FlatFn, i int32) bool {
 	return false
 }
 
-// FlatThreadJumps mirrors ThreadJumps: redirect edges through jump-only
-// trampolines, then drop what became unreachable.
+// FlatThreadJumps redirects edges that point at blocks containing only an
+// unconditional jump, then removes the now-unreachable trampolines. It keeps
+// loop headers intact (a self-jump is never threaded).
 func FlatThreadJumps(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	changed := false
@@ -221,7 +233,15 @@ func FlatThreadJumps(fp *rtl.FlatProgram, fi int) bool {
 	return changed
 }
 
-// FlatNormalizeAddresses mirrors NormalizeAddresses.
+// FlatNormalizeAddresses is the local pass behind the paper's
+// CalculateRelativeOffsets step. Within each block it tracks which
+// registers currently hold "entry value of register b plus constant k" and
+// uses that to (a) rewrite memory operands into base+displacement form off
+// the block-entry register and (b) turn copies of offset values into adds
+// off the base. After unrolling, the renamed induction chains
+// (p0 = p+2; p1 = p0+2; ...) feed loads at [p+0], [p+2], [p+4], ... and the
+// chain itself dies, leaving exactly the consecutive-displacement pattern
+// the coalescer partitions.
 func FlatNormalizeAddresses(fp *rtl.FlatProgram, fi int) bool {
 	f := &fp.Fns[fi]
 	changed := false
@@ -341,11 +361,15 @@ func flatSameInstr(f *rtl.FlatFn, i int32, in rtl.FlatInstr) bool {
 		f.C[i] == in.C && f.Width[i] == in.Width && f.Signed[i] == in.Signed && f.Disp[i] == in.Disp
 }
 
-// FlatHoistInvariants mirrors HoistInvariants for loop l of function fi.
-// Each sweep marks the hoisted instructions, compacts them out of the loop
-// and splices them, in sweep order, before the preheader's terminator — the
-// same sequence of Block.Append calls the graph pass makes, since the
-// preheader lies outside the loop and hoisting never moves a call.
+// FlatHoistInvariants performs loop-invariant code motion for loop l of
+// function fi: pure instructions whose operands are loop invariant and that
+// are the sole definition of their register move to the preheader.
+// Divisions are hoisted only when the divisor is a non-zero constant, since
+// hoisting may execute them speculatively. The loop must already have a
+// preheader. Each sweep marks the hoisted instructions, compacts them out of
+// the loop and splices them, in sweep order, before the preheader's
+// terminator (the preheader lies outside the loop and hoisting never moves
+// a call).
 func FlatHoistInvariants(fp *rtl.FlatProgram, fi int, l *cfg.FlatLoop) bool {
 	if l.Preheader < 0 {
 		return false

@@ -3,80 +3,90 @@ package opt_test
 import (
 	"testing"
 
+	"macc/internal/machine"
 	"macc/internal/opt"
+	"macc/internal/pipeline"
 	"macc/internal/rtl"
 	"macc/internal/rtlgen"
 )
 
-// runTwin applies graphPass to a pointer-graph copy and flatPass to a flat
-// copy of the same generated function and requires byte-identical printed
-// RTL afterwards — the unit-level pin behind the whole-pipeline
-// differentials: each flat pass must be indistinguishable from its twin.
-func runTwin(t *testing.T, name string, graphPass func(*rtl.Fn) bool, flatPass func(*rtl.FlatProgram, int) bool) {
+// runSubPass applies pass to a flat copy of each generated function and
+// requires a verifying result whose simulated behaviour — return value and
+// final memory over several argument sets — matches the untransformed
+// function's, and an unchanged function whenever the pass reports no
+// change. The printed output of every sub-pass on these seeds is pinned
+// byte for byte by the "generated N sub" rows of the root package's
+// testdata/compile_golden.txt.
+func runSubPass(t *testing.T, name string, pass func(*rtl.FlatProgram, int) bool) {
 	t.Helper()
 	seeds := int64(120)
 	if testing.Short() {
 		seeds = 20
 	}
+	m := machine.M68030() // tolerant of any alignment
+	args := [][]int64{{0, 0, 0}, {1, 2, 3}, {511, 1023, 7}}
 	for seed := int64(1); seed <= seeds; seed++ {
 		fn, err := rtlgen.Generate(seed, rtlgen.DefaultOptions())
 		if err != nil {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		prog := &rtl.Program{Fns: []*rtl.Fn{fn}}
+		prog := rtl.NewProgram(fn)
+		want, err := pipeline.Behavior(prog, m, rtlgen.MemWindow*2, "f", args)
+		if err != nil {
+			t.Fatalf("seed %d: behaviour: %v", seed, err)
+		}
 		fp, err := rtl.Flatten(prog)
 		if err != nil {
 			t.Fatalf("seed %d: flatten: %v", seed, err)
 		}
-
-		gChanged := graphPass(fn)
-		fChanged := flatPass(fp, 0)
-		if gChanged != fChanged {
-			t.Fatalf("%s seed %d: changed disagrees: graph=%v flat=%v", name, seed, gChanged, fChanged)
-		}
+		changed := pass(fp, 0)
 		if err := fp.VerifyFn(0); err != nil {
-			t.Fatalf("%s seed %d: flat verify: %v", name, seed, err)
+			t.Fatalf("%s seed %d: verify: %v", name, seed, err)
 		}
 		back, err := fp.Unflatten()
 		if err != nil {
 			t.Fatalf("%s seed %d: unflatten: %v", name, seed, err)
 		}
-		want, got := prog.String(), back.String()
-		if want != got {
-			t.Fatalf("%s seed %d: flat output differs:\n--- graph ---\n%s\n--- flat ---\n%s", name, seed, want, got)
+		if !changed && back.String() != prog.String() {
+			t.Fatalf("%s seed %d: reported no change but rewrote the function:\n%s", name, seed, back)
+		}
+		got, err := pipeline.BehaviorFlat(fp, m, rtlgen.MemWindow*2, "f", args)
+		if err != nil {
+			t.Fatalf("%s seed %d: behaviour after the pass: %v", name, seed, err)
+		}
+		if got != want {
+			t.Fatalf("%s seed %d: behaviour changed:\n--- before ---\n%s\n--- after ---\n%s", name, seed, prog, back)
 		}
 	}
 }
 
+// TestFlatPassTwins runs every clean-up sub-pass against its behavioural
+// twin, the function before the pass.
 func TestFlatPassTwins(t *testing.T) {
 	cases := []struct {
-		name  string
-		graph func(*rtl.Fn) bool
-		flat  func(*rtl.FlatProgram, int) bool
+		name string
+		pass func(*rtl.FlatProgram, int) bool
 	}{
-		{"RemoveUnreachable", opt.RemoveUnreachable, opt.FlatRemoveUnreachable},
-		{"FoldConstants", opt.FoldConstants, opt.FlatFoldConstants},
-		{"PropagateLocal", opt.PropagateLocal, opt.FlatPropagateLocal},
-		{"PropagateImmutable", opt.PropagateImmutable, opt.FlatPropagateImmutable},
-		{"LocalCSE", opt.LocalCSE, opt.FlatLocalCSE},
-		{"CollapseMovChains", opt.CollapseMovChains, opt.FlatCollapseMovChains},
-		{"Peephole", opt.Peephole, opt.FlatPeephole},
-		{"DeadCodeElim", opt.DeadCodeElim, opt.FlatDeadCodeElim},
-		{"GlobalDCE", opt.GlobalDCE, opt.FlatGlobalDCE},
-		{"EliminateDeadIVs", opt.EliminateDeadIVs, opt.FlatEliminateDeadIVs},
-		{"ThreadJumps", opt.ThreadJumps, opt.FlatThreadJumps},
-		{"NormalizeAddresses", opt.NormalizeAddresses, opt.FlatNormalizeAddresses},
-		{"Clean", opt.Clean, opt.FlatClean},
-		{"Clean+ThreadJumps", func(f *rtl.Fn) bool {
-			c := opt.Clean(f)
-			return opt.ThreadJumps(f) || c
-		}, func(fp *rtl.FlatProgram, fi int) bool {
+		{"RemoveUnreachable", opt.FlatRemoveUnreachable},
+		{"FoldConstants", opt.FlatFoldConstants},
+		{"PropagateLocal", opt.FlatPropagateLocal},
+		{"PropagateImmutable", opt.FlatPropagateImmutable},
+		{"LocalCSE", opt.FlatLocalCSE},
+		{"CollapseMovChains", opt.FlatCollapseMovChains},
+		{"Peephole", opt.FlatPeephole},
+		{"DeadCodeElim", opt.FlatDeadCodeElim},
+		{"GlobalDCE", opt.FlatGlobalDCE},
+		{"EliminateDeadIVs", opt.FlatEliminateDeadIVs},
+		{"ThreadJumps", opt.FlatThreadJumps},
+		{"NormalizeAddresses", opt.FlatNormalizeAddresses},
+		{"Clean", opt.FlatClean},
+		{"Clean+ThreadJumps", func(fp *rtl.FlatProgram, fi int) bool {
 			c := opt.FlatClean(fp, fi)
 			return opt.FlatThreadJumps(fp, fi) || c
 		}},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.name, func(t *testing.T) { runTwin(t, tc.name, tc.graph, tc.flat) })
+		t.Run(tc.name, func(t *testing.T) { runSubPass(t, tc.name, tc.pass) })
 	}
 }

@@ -14,7 +14,7 @@ import (
 // per pass and per block, and the FlatGraph is rebuilt only after a
 // sub-pass changed the blocks or the terminators' edges (instruction edits
 // never do). The exported single-pass entry points run on a pooled cleaner
-// too, so the twin tests exercise exactly the code FlatClean runs.
+// too, so their tests exercise exactly the code FlatClean runs.
 type cleaner struct {
 	fp *rtl.FlatProgram
 	fi int
@@ -152,48 +152,83 @@ func FlatRemoveUnreachable(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).removeUnreachable)
 }
 
-// FlatFoldConstants mirrors FoldConstants.
+// FlatFoldConstants evaluates instructions whose operands are constants and
+// simplifies algebraic identities (x+0, x*1, x*0, x<<0, branch-on-constant).
 func FlatFoldConstants(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).foldConstants)
 }
 
-// FlatPropagateLocal mirrors PropagateLocal.
+// FlatPropagateLocal forwards constants and copies within each block,
+// tracking kills precisely, so chains like "t=2; u=t; v=a+u" collapse
+// without any global analysis.
 func FlatPropagateLocal(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).propagateLocal)
 }
 
-// FlatPropagateImmutable mirrors PropagateImmutable.
+// FlatPropagateImmutable performs global constant/copy propagation
+// restricted to registers with a single definition: if r is defined exactly
+// once as a constant, or as a copy of another immutable register, its uses
+// dominated by the definition are rewritten.
 func FlatPropagateImmutable(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).propagateImmutable)
 }
 
-// FlatLocalCSE mirrors LocalCSE.
+// FlatLocalCSE removes redundant pure computations within a block using
+// value numbering keyed on (op, operands, width, signedness). Loads are
+// reused until a store or call intervenes.
 func FlatLocalCSE(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).localCSE)
 }
 
-// FlatCollapseMovChains mirrors CollapseMovChains.
+// FlatCollapseMovChains rewrites "t = x op y; ...; v = t" (t defined and
+// used exactly once, both in the same block) into "...; v = x op y",
+// deleting the temporary. Front-end output assigns every expression to a
+// fresh register and then moves it into the variable's home register, which
+// hides induction updates ("i = i + 1" arrives as "t = i + 1; i = t") from
+// the loop analyses; this pass restores the canonical form.
 func FlatCollapseMovChains(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).collapseMovChains)
 }
 
-// FlatPeephole mirrors Peephole.
+// FlatPeephole applies machine-independent strength reductions and branch
+// simplifications:
+//
+//   - multiply by a power-of-two constant becomes a shift;
+//   - unsigned divide/remainder by a power of two becomes a shift/mask;
+//   - a branch on "x != 0" branches on x directly;
+//   - a branch on "cmp == 0" branches on the inverted comparison.
+//
+// These mirror vpo's peephole stage; they also keep the scheduler's latency
+// estimates honest, since multiplies are the slowest ALU operation on all
+// three machine models.
 func FlatPeephole(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).peephole)
 }
 
-// FlatDeadCodeElim mirrors DeadCodeElim.
+// FlatDeadCodeElim removes pure instructions whose results are never used,
+// iterating so chains of dead temporaries disappear.
 func FlatDeadCodeElim(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).deadCodeElim)
 }
 
-// FlatGlobalDCE mirrors GlobalDCE: liveness-based removal, iterated to a
-// fixpoint, skipping unreachable blocks.
+// FlatGlobalDCE removes pure instructions whose destination is dead at the
+// definition point, using liveness rather than use counts. The distinction
+// matters after loop replication: the unroller's mov-backs restore
+// loop-carried names for the *other* loop version, so every register has
+// textual uses somewhere, but inside one version many of those values are
+// never live — use-count DCE keeps them, liveness kills them. Iterates to a
+// fixpoint (skipping unreachable blocks) since removing one dead definition
+// can kill the chain feeding it.
 func FlatGlobalDCE(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).globalDCE)
 }
 
-// FlatEliminateDeadIVs mirrors EliminateDeadIVs.
+// FlatEliminateDeadIVs removes induction-variable updates whose value feeds
+// nothing but themselves: after linear function test replacement the
+// original counter's only remaining uses are its own "i = i + 1"
+// definitions, which plain dead-code elimination cannot see because the use
+// count never reaches zero. This is the paper's
+// EliminateInductionVariables step.
 func FlatEliminateDeadIVs(fp *rtl.FlatProgram, fi int) bool {
 	return runOne(fp, fi, (*cleaner).eliminateDeadIVs)
 }
@@ -324,12 +359,12 @@ func flatDominatesUse(g *cfg.FlatGraph, site dataflow.FlatDefSite, useBlock, use
 	return g.Dominates(site.Block, useBlock)
 }
 
-// localCSE mirrors LocalCSE with an open-addressed value-number table.
+// localCSE is FlatLocalCSE with an open-addressed value-number table.
 // Availability is tracked with a register-indexed kill list instead of a
 // full table sweep per definition: killing a register visits only the
-// entries that mention it, which turns the graph pass's
-// O(defs x available) behaviour into O(defs + mentions) without changing
-// which expressions are considered available.
+// entries that mention it — O(defs + mentions) rather than
+// O(defs x available) — without changing which expressions are considered
+// available.
 func (c *cleaner) localCSE() bool {
 	f := c.f
 	t := &c.cse
@@ -511,10 +546,9 @@ func (t *cseTable) kill(d rtl.Reg) {
 	}
 }
 
-// collapseMovChains mirrors CollapseMovChains: the fused temporary is
-// overwritten with a Nop kill-mark exactly as the graph pass does, and one
-// Compact sweep at the end drops the marks the graph pass filters per
-// block.
+// collapseMovChains is FlatCollapseMovChains: the fused temporary is
+// overwritten with a Nop kill-mark, and one Compact sweep at the end drops
+// the marks.
 func (c *cleaner) collapseMovChains() bool {
 	f := c.f
 	n := f.NumRegs()
@@ -583,7 +617,8 @@ func (c *cleaner) collapseMovChains() bool {
 	return changed
 }
 
-// flatFusable mirrors fusable for the instruction at index i.
+// flatFusable reports whether instruction i is a pure register computation
+// safe to relocate forward.
 func flatFusable(f *rtl.FlatFn, i int32) bool {
 	switch f.Op[i] {
 	case rtl.Mov, rtl.Neg, rtl.Not, rtl.Extract, rtl.Insert:
@@ -592,7 +627,10 @@ func flatFusable(f *rtl.FlatFn, i int32) bool {
 	return f.Op[i].IsBinary()
 }
 
-// flatMovable mirrors movable over absolute indices di..j in one block.
+// flatMovable checks that relocating the computation at di down to
+// position j (absolute indices in one block) is safe: none of its source
+// registers is redefined in between, and the destination register v is
+// neither read nor written in between.
 func flatMovable(f *rtl.FlatFn, di, j int32, v rtl.Reg) bool {
 	var buf [3]rtl.Reg
 	srcs := buf[:0]
@@ -679,8 +717,8 @@ func (c *cleaner) simplifyBranches() bool {
 		}
 	}
 	if changed {
-		// Swapped arms keep every block's successor set, so the graph's
-		// reachability, dominators, and liveness stay valid.
+		// Swapped arms keep every block's successor set, so the
+		// FlatGraph's reachability, dominators, and liveness stay valid.
 		kill := c.killMarks()
 		for i := range f.Op {
 			if f.Op[i] == rtl.Nop {

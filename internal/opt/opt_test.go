@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"macc/internal/cfg"
+	"macc/internal/flattest"
 	"macc/internal/opt"
 	"macc/internal/rtl"
 )
@@ -14,6 +15,42 @@ func linear(nparams int, build func(f *rtl.Fn) []*rtl.Instr) *rtl.Fn {
 	ins := build(f)
 	f.Entry().Instrs = ins
 	return f
+}
+
+// apply runs flat pass over f through the shared flat test helper and
+// replaces f with the result, returning whether the pass reported a change.
+func apply(t *testing.T, f *rtl.Fn, pass func(*rtl.FlatProgram, int) bool) bool {
+	t.Helper()
+	var changed bool
+	*f = *flattest.Apply(t, f, func(fp *rtl.FlatProgram, fi int) { changed = pass(fp, fi) })
+	return changed
+}
+
+// block returns the block labelled name in f.
+func block(t *testing.T, f *rtl.Fn, name string) *rtl.Block {
+	t.Helper()
+	for _, b := range f.Blocks {
+		if b.Name == name {
+			return b
+		}
+	}
+	t.Fatalf("no block %q in\n%s", name, f)
+	return nil
+}
+
+// hoist gives f's first loop a preheader, runs FlatHoistInvariants on it,
+// and replaces f with the result; it returns whether anything was hoisted
+// and the preheader.
+func hoist(t *testing.T, f *rtl.Fn) (bool, *rtl.Block) {
+	t.Helper()
+	fp := flattest.Flat(t, f)
+	g := cfg.NewFlat(fp, 0)
+	l := g.FindLoops()[0]
+	g.EnsurePreheader(l)
+	hoisted := opt.FlatHoistInvariants(fp, 0, l)
+	ph := fp.SymName(fp.Fns[0].Blocks[l.Preheader].Name)
+	*f = *flattest.Unflatten(t, fp).Fns[0]
+	return hoisted, block(t, f, ph)
 }
 
 func countOp(f *rtl.Fn, op rtl.Op) int {
@@ -38,7 +75,7 @@ func TestFoldConstantsArithmetic(t *testing.T) {
 			rtl.RetI(rtl.R(r3)),
 		}
 	})
-	opt.FoldConstants(f)
+	apply(t, f, opt.FlatFoldConstants)
 	for i, want := range []int64{5, 20, 1} {
 		in := f.Entry().Instrs[i]
 		if in.Op != rtl.Mov {
@@ -64,7 +101,7 @@ func TestFoldIdentities(t *testing.T) {
 			rtl.RetI(rtl.R(r5)),
 		}
 	})
-	opt.FoldConstants(f)
+	apply(t, f, opt.FlatFoldConstants)
 	ins := f.Entry().Instrs
 	for _, i := range []int{0, 1, 4} {
 		if ins[i].Op != rtl.Mov {
@@ -88,12 +125,12 @@ func TestFoldBranchOnConstant(t *testing.T) {
 	f.Entry().Instrs = []*rtl.Instr{rtl.BranchI(rtl.C(0), b1, b2)}
 	b1.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(1))}
 	b2.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(2))}
-	opt.FoldConstants(f)
+	apply(t, f, opt.FlatFoldConstants)
 	term := f.Entry().Term()
-	if term.Op != rtl.Jump || term.Target != b2 {
+	if term.Op != rtl.Jump || term.Target.Name != "else" {
 		t.Errorf("branch on 0 should become jump to else: %s", term)
 	}
-	opt.RemoveUnreachable(f)
+	apply(t, f, opt.FlatRemoveUnreachable)
 	if len(f.Blocks) != 2 {
 		t.Errorf("unreachable then-block not removed: %d blocks", len(f.Blocks))
 	}
@@ -107,7 +144,7 @@ func TestDivByZeroNotFolded(t *testing.T) {
 			rtl.RetI(rtl.R(r)),
 		}
 	})
-	opt.FoldConstants(f)
+	apply(t, f, opt.FlatFoldConstants)
 	if f.Entry().Instrs[0].Op != rtl.Div {
 		t.Error("division by zero must stay a runtime trap")
 	}
@@ -124,7 +161,7 @@ func TestPropagateLocalChains(t *testing.T) {
 			rtl.RetI(rtl.R(t3)),
 		}
 	})
-	opt.PropagateLocal(f)
+	apply(t, f, opt.FlatPropagateLocal)
 	add := f.Entry().Instrs[2]
 	if v, ok := add.A.IsConst(); !ok || v != 7 {
 		t.Errorf("constant not propagated through copy chain: %s", add)
@@ -142,7 +179,7 @@ func TestPropagateLocalRespectsKills(t *testing.T) {
 			rtl.RetI(rtl.R(t2)),
 		}
 	})
-	opt.PropagateLocal(f)
+	apply(t, f, opt.FlatPropagateLocal)
 	mv := f.Entry().Instrs[2]
 	if r, ok := mv.A.IsReg(); !ok || r != f.Entry().Instrs[0].Dst {
 		t.Errorf("stale copy propagated across kill: %s", mv)
@@ -160,7 +197,7 @@ func TestLocalCSE(t *testing.T) {
 			rtl.RetI(rtl.R(t3)),
 		}
 	})
-	opt.LocalCSE(f)
+	apply(t, f, opt.FlatLocalCSE)
 	second := f.Entry().Instrs[1]
 	if second.Op != rtl.Mov {
 		t.Errorf("redundant add not CSEd: %s", second)
@@ -178,7 +215,7 @@ func TestLocalCSEKilledByOperandRedef(t *testing.T) {
 			rtl.RetI(rtl.R(t2)),
 		}
 	})
-	opt.LocalCSE(f)
+	apply(t, f, opt.FlatLocalCSE)
 	third := f.Entry().Instrs[2]
 	if third.Op != rtl.Add {
 		t.Errorf("CSE across operand redefinition: %s", third)
@@ -196,7 +233,7 @@ func TestLocalCSELoadsKilledByStore(t *testing.T) {
 			rtl.RetI(rtl.R(t2)),
 		}
 	})
-	opt.LocalCSE(f)
+	apply(t, f, opt.FlatLocalCSE)
 	if f.Entry().Instrs[2].Op != rtl.Load {
 		t.Error("load reused across a potentially aliasing store")
 	}
@@ -213,7 +250,7 @@ func TestLocalCSELoadsReusedWithoutStore(t *testing.T) {
 			rtl.RetI(rtl.R(t3)),
 		}
 	})
-	opt.LocalCSE(f)
+	apply(t, f, opt.FlatLocalCSE)
 	if f.Entry().Instrs[1].Op != rtl.Mov {
 		t.Error("identical load not reused")
 	}
@@ -230,7 +267,7 @@ func TestDeadCodeElimChains(t *testing.T) {
 			rtl.RetI(rtl.R(live)),
 		}
 	})
-	opt.DeadCodeElim(f)
+	apply(t, f, opt.FlatDeadCodeElim)
 	if n := len(f.Entry().Instrs); n != 2 {
 		t.Errorf("dead chain not removed: %d instrs", n)
 	}
@@ -246,7 +283,7 @@ func TestDeadCodeKeepsSideEffects(t *testing.T) {
 			rtl.RetI(rtl.C(0)),
 		}
 	})
-	opt.DeadCodeElim(f)
+	apply(t, f, opt.FlatDeadCodeElim)
 	if countOp(f, rtl.Store) != 1 || countOp(f, rtl.Call) != 1 {
 		t.Error("side-effecting instructions removed")
 	}
@@ -263,8 +300,8 @@ func TestCollapseMovChains(t *testing.T) {
 			rtl.RetI(rtl.R(i)),
 		}
 	})
-	opt.CollapseMovChains(f)
-	opt.DeadCodeElim(f)
+	apply(t, f, opt.FlatCollapseMovChains)
+	apply(t, f, opt.FlatDeadCodeElim)
 	// The add should now target i directly: i = i + 1.
 	found := false
 	for _, in := range f.Entry().Instrs {
@@ -296,7 +333,7 @@ func TestCollapseRefusesWhenUnsafe(t *testing.T) {
 		}
 	})
 	before := f.String()
-	opt.CollapseMovChains(f)
+	apply(t, f, opt.FlatCollapseMovChains)
 	// The mul must still read the OLD v; verify v=tm mov either stayed or
 	// the rewrite kept the read-before-write ordering. Simplest check: the
 	// mul still precedes any redefinition of v.
@@ -322,8 +359,8 @@ func TestThreadJumps(t *testing.T) {
 	f.Entry().Instrs = []*rtl.Instr{rtl.JumpI(tramp)}
 	tramp.Instrs = []*rtl.Instr{rtl.JumpI(final)}
 	final.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
-	opt.ThreadJumps(f)
-	if f.Entry().Term().Target != final {
+	apply(t, f, opt.FlatThreadJumps)
+	if f.Entry().Term().Target.Name != "final" {
 		t.Error("jump not threaded through trampoline")
 	}
 	if len(f.Blocks) != 2 {
@@ -354,7 +391,7 @@ func TestEliminateDeadIVs(t *testing.T) {
 	}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(v))}
 
-	if !opt.EliminateDeadIVs(f) {
+	if !apply(t, f, opt.FlatEliminateDeadIVs) {
 		t.Fatal("dead IV not found")
 	}
 	for _, b := range f.Blocks {
@@ -387,7 +424,7 @@ func TestNormalizeAddressesFoldsUnrolledChain(t *testing.T) {
 			rtl.RetI(rtl.R(s)),
 		}
 	})
-	opt.NormalizeAddresses(f)
+	apply(t, f, opt.FlatNormalizeAddresses)
 	ins := f.Entry().Instrs
 	// Second load must now be [p+2].
 	ld := ins[2]
@@ -402,7 +439,7 @@ func TestNormalizeAddressesFoldsUnrolledChain(t *testing.T) {
 	if c, _ := mv.B.IsConst(); c != 4 {
 		t.Errorf("mov-back folded to wrong constant: %s", mv)
 	}
-	opt.DeadCodeElim(f)
+	apply(t, f, opt.FlatDeadCodeElim)
 	if countOp(f, rtl.Add) != 2 { // p update + the live sum
 		t.Errorf("chain not dead after rebasing:\n%s", f)
 	}
@@ -430,22 +467,20 @@ func TestHoistInvariants(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	g := cfg.New(f)
-	l := g.FindLoops()[0]
-	g.EnsurePreheader(l)
-	if !opt.HoistInvariants(f, g, l) {
+	hoisted, preheader := hoist(t, f)
+	if !hoisted {
 		t.Fatal("nothing hoisted")
 	}
 	if countOp(f, rtl.Mul) != 1 {
 		t.Fatal("multiply lost")
 	}
-	for _, in := range body.Instrs {
+	for _, in := range block(t, f, "b").Instrs {
 		if in.Op == rtl.Mul {
 			t.Error("invariant multiply still in loop body")
 		}
 	}
 	found := false
-	for _, in := range l.Preheader.Instrs {
+	for _, in := range preheader.Instrs {
 		if in.Op == rtl.Mul {
 			found = true
 		}
@@ -482,11 +517,8 @@ func TestHoistRefusesVariantAndDivision(t *testing.T) {
 	latch.Instrs = []*rtl.Instr{rtl.BinI(rtl.Add, i, rtl.R(i), rtl.C(1)), rtl.JumpI(header)}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(acc))}
 
-	g := cfg.New(f)
-	l := g.FindLoops()[0]
-	g.EnsurePreheader(l)
-	opt.HoistInvariants(f, g, l)
-	for _, in := range l.Preheader.Instrs {
+	_, preheader := hoist(t, f)
+	for _, in := range preheader.Instrs {
 		if in.Op == rtl.Mul || in.Op == rtl.Div {
 			t.Errorf("unsafe hoist: %s", in)
 		}
@@ -517,7 +549,7 @@ func TestGlobalDCERemovesVersionLocalDeadCode(t *testing.T) {
 		rtl.JumpI(join),
 	}
 	join.Instrs = []*rtl.Instr{rtl.RetI(rtl.C(42))}
-	if !opt.GlobalDCE(f) {
+	if !apply(t, f, opt.FlatGlobalDCE) {
 		t.Fatal("nothing removed")
 	}
 	if countOp(f, rtl.Mul) != 0 || countOp(f, rtl.Add) != 0 {
@@ -544,7 +576,7 @@ func TestGlobalDCEKeepsLoopCarried(t *testing.T) {
 		rtl.JumpI(header),
 	}
 	exit.Instrs = []*rtl.Instr{rtl.RetI(rtl.R(i))}
-	opt.GlobalDCE(f)
+	apply(t, f, opt.FlatGlobalDCE)
 	if countOp(f, rtl.Add) != 1 {
 		t.Error("loop-carried increment removed")
 	}

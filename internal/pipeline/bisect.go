@@ -9,10 +9,11 @@ import (
 	"macc/internal/sim"
 )
 
-// Predicate judges the function produced by a prefix of the pass list.
-// A nil return means the prefix is healthy; an error describes the failure
-// (verifier rejection, simulator trap, behavioural divergence, ...).
-type Predicate func(f *rtl.Fn) error
+// Predicate judges function fi of the flat program produced by a prefix of
+// the pass list. A nil return means the prefix is healthy; an error
+// describes the failure (verifier rejection, simulator trap, behavioural
+// divergence, ...).
+type Predicate func(fp *rtl.FlatProgram, fi int) error
 
 // BisectResult identifies the first culprit pass found by Bisect.
 type BisectResult struct {
@@ -37,21 +38,24 @@ func (r BisectResult) String() string {
 
 // Bisect binary-searches the pass list for the first pass whose inclusion
 // makes the predicate fail, in the style of LLVM's -opt-bisect-limit and
-// bugpoint. fresh must return an independent copy of the unoptimized
-// function for each probe; probes run their prefix fail-fast (a panic or
-// verifier rejection inside the prefix counts as a failure), then apply the
-// predicate. Bisection assumes the usual monotonicity: once the culprit has
-// run, longer prefixes stay bad.
+// bugpoint. rp is the unoptimized program and fi the function under test;
+// each probe flattens rp afresh and runs its prefix on function fi
+// fail-fast (a panic or verifier rejection inside the prefix counts as a
+// failure), then applies the predicate. Bisection assumes the usual
+// monotonicity: once the culprit has run, longer prefixes stay bad.
 //
 // An error is returned only when bisection itself cannot proceed, i.e. the
 // predicate already fails on the unoptimized function.
-func Bisect(fresh func() *rtl.Fn, passes []Pass, bad Predicate) (BisectResult, error) {
+func Bisect(rp *rtl.Program, fi int, passes []FlatPass, bad Predicate) (BisectResult, error) {
 	probe := func(k int) error {
-		f := fresh()
-		if err := Run(f, passes[:k], Options{Strict: true}); err != nil {
+		fp, err := rtl.Flatten(rp)
+		if err != nil {
 			return err
 		}
-		return bad(f)
+		if err := RunFlat(fp, fi, passes[:k], Options{Strict: true}); err != nil {
+			return err
+		}
+		return bad(fp, fi)
 	}
 	if err := probe(0); err != nil {
 		return BisectResult{Index: -1}, fmt.Errorf("bisect: predicate fails before any pass runs: %w", err)
@@ -79,9 +83,18 @@ func Bisect(fresh func() *rtl.Fn, passes []Pass, bad Predicate) (BisectResult, e
 // memory bit-identical on every run; any simulator trap is returned as an
 // error. This is the divergence oracle differential predicates are built on.
 func Behavior(prog *rtl.Program, m *machine.Machine, memBytes int, entry string, argSets [][]int64) (string, error) {
+	return behavior(func() *sim.Sim { return sim.New(prog, m, memBytes) }, entry, argSets)
+}
+
+// BehaviorFlat is Behavior for a flat program image.
+func BehaviorFlat(fp *rtl.FlatProgram, m *machine.Machine, memBytes int, entry string, argSets [][]int64) (string, error) {
+	return behavior(func() *sim.Sim { return sim.NewFlat(fp, m, memBytes) }, entry, argSets)
+}
+
+func behavior(newSim func() *sim.Sim, entry string, argSets [][]int64) (string, error) {
 	h := fnv.New64a()
 	for _, args := range argSets {
-		s := sim.New(prog, m, memBytes)
+		s := newSim()
 		s.Fuel = 1 << 26
 		for i := range s.Mem {
 			s.Mem[i] = byte(i * 7)

@@ -9,23 +9,26 @@ import (
 // FlatPass is one named transformation stage over the flat (struct-of-arrays)
 // form of one function.
 type FlatPass struct {
-	// Name identifies the stage in diagnostics, dumps, and bisection; flat
-	// stages use the same names as their graph twins so incident reports and
-	// telemetry spans read identically whichever form ran.
+	// Name identifies the stage in diagnostics, dumps, and bisection.
 	Name string
-	// Run applies the transformation to function fi of fp in place.
+	// Run applies the transformation to function fi of fp in place. A
+	// returned error (or a panic, or a subsequent verifier rejection) marks
+	// the pass as failed.
 	Run func(fp *rtl.FlatProgram, fi int) error
-	// OnSuccess mirrors Pass.OnSuccess: called only after the verification
-	// checkpoint has accepted the result.
+	// OnSuccess, when non-nil, is called only after the pass has run AND
+	// the verification checkpoint has accepted the result. Side records
+	// (coalescing reports, unroll factors) belong here so a rolled-back
+	// pass leaves no trace of work that was undone.
 	OnSuccess func()
 }
 
-// RunFlat is Run for a flat function: the same per-pass panic recovery,
-// post-pass verification checkpoint (VerifyFn), and rollback discipline, with
-// the copy-on-write block journal replaced by a flat snapshot whose restore
-// copies array ranges instead of rebuilding a block graph. Options.OnPass is
-// not invoked — it observes pointer-graph functions, and the callers that
-// set it (stage dumping) run the graph pipeline instead.
+// RunFlat executes the passes over function fi of fp. Each pass runs under
+// panic recovery and, unless NoVerify is set, is followed by a VerifyFn
+// checkpoint. On failure the function is restored from the flat snapshot
+// advanced after the last good pass — a restore copies array ranges, and
+// committing a pass recaptures the arrays and counts the blocks it changed;
+// in Strict mode the *PassError is returned instead and the function is
+// left rolled back to that same snapshot.
 func RunFlat(fp *rtl.FlatProgram, fi int, passes []FlatPass, opts Options) error {
 	f := &fp.Fns[fi]
 	fnName := fp.Syms[f.Name]
@@ -63,6 +66,9 @@ func RunFlat(fp *rtl.FlatProgram, fi int, passes []FlatPass, opts Options) error
 		if opts.Recorder != nil {
 			opts.Recorder.EndPass(f.NumInstrs(), len(f.Blocks), false, "")
 			opts.Recorder.Count("pipeline.snapshot_dirty_blocks", int64(dirty))
+		}
+		if opts.OnPass != nil {
+			opts.OnPass(p.Name, fp, fi)
 		}
 	}
 	return nil

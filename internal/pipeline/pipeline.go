@@ -1,7 +1,8 @@
 // Package pipeline is the hardened pass manager for the optimizer: it runs
-// a sequence of named transformation passes over an RTL function with
-// per-pass panic recovery, a post-pass verification checkpoint, and rollback
-// to the last-known-good snapshot when a pass misbehaves.
+// a sequence of named transformation passes over one function of a flat RTL
+// program with per-pass panic recovery, a post-pass verification
+// checkpoint, and rollback to the last-known-good snapshot when a pass
+// misbehaves.
 //
 // The design mirrors the paper's Figure-5 philosophy at the level of the
 // compiler itself: every unsafe transformation is guarded by a check, and
@@ -14,28 +15,13 @@ package pipeline
 
 import (
 	"fmt"
-	"runtime/debug"
 	"strings"
 
 	"macc/internal/rtl"
 	"macc/internal/telemetry"
 )
 
-// Pass is one named transformation stage.
-type Pass struct {
-	// Name identifies the stage in diagnostics, dumps, and bisection.
-	Name string
-	// Run applies the transformation in place. A returned error (or a
-	// panic, or a subsequent verifier rejection) marks the pass as failed.
-	Run func(f *rtl.Fn) error
-	// OnSuccess, when non-nil, is called only after the pass has run AND
-	// the verification checkpoint has accepted the result. Side records
-	// (coalescing reports, unroll factors) belong here so a rolled-back
-	// pass leaves no trace of work that was undone.
-	OnSuccess func()
-}
-
-// Options configures a Run.
+// Options configures a RunFlat.
 type Options struct {
 	// Strict makes the first pass failure abort the run with a *PassError
 	// (today's fail-fast behaviour). The default rolls the function back
@@ -44,9 +30,9 @@ type Options struct {
 	// NoVerify skips the post-pass verification checkpoints; panics are
 	// still recovered. Used by probes that apply their own predicate.
 	NoVerify bool
-	// OnPass, when non-nil, observes the function after each successful
-	// pass (the -dump hook).
-	OnPass func(name string, f *rtl.Fn)
+	// OnPass, when non-nil, observes function fi of fp after each
+	// successful pass (the -dump hook).
+	OnPass func(name string, fp *rtl.FlatProgram, fi int)
 	// Diags, when non-nil, collects an Incident for every pass that was
 	// rolled back.
 	Diags *Diagnostics
@@ -120,83 +106,4 @@ func (d *Diagnostics) String() string {
 		fmt.Fprintf(&sb, "degraded: %s (rolled back)\n", in.Err)
 	}
 	return sb.String()
-}
-
-// Run executes the passes over f. Each pass runs under panic recovery and,
-// unless NoVerify is set, is followed by an f.Verify() checkpoint. On
-// failure the function is restored from the copy-on-write journal snapshot
-// advanced after the last good pass; in Strict mode the *PassError is
-// returned instead and f is left rolled back to that same snapshot.
-//
-// The journal replaces the whole-function Clone this loop used to take
-// before every pass: committing a pass now recaptures only the blocks the
-// pass dirtied (rtl.Snapshot.Update), so a pass that changes nothing costs a
-// comparison sweep with zero allocations, and rollback replays the journal
-// instead of deep-copying a clone back in.
-func Run(f *rtl.Fn, passes []Pass, opts Options) error {
-	good := rtl.NewSnapshot(f)
-	for _, p := range passes {
-		if opts.Recorder != nil {
-			ni, nb := irSize(f)
-			opts.Recorder.BeginPass(p.Name, f.Name, ni, nb)
-		}
-		perr := runOne(p, f)
-		if perr == nil && !opts.NoVerify {
-			if verr := f.Verify(); verr != nil {
-				perr = &PassError{Pass: p.Name, Fn: f.Name, Err: verr}
-			}
-		}
-		if perr != nil {
-			good.Restore()
-			if opts.Recorder != nil {
-				// Retract the pass's staged remarks and metric deltas; the
-				// span survives, marked rolled back, mirroring the Incident.
-				ni, nb := irSize(f)
-				opts.Recorder.EndPass(ni, nb, true, perr.Error())
-			}
-			if opts.Strict {
-				return perr
-			}
-			if opts.Diags != nil {
-				opts.Diags.Incidents = append(opts.Diags.Incidents,
-					Incident{Pass: p.Name, Fn: f.Name, Err: perr})
-			}
-			continue
-		}
-		dirty := good.Update()
-		if p.OnSuccess != nil {
-			p.OnSuccess()
-		}
-		if opts.Recorder != nil {
-			ni, nb := irSize(f)
-			opts.Recorder.EndPass(ni, nb, false, "")
-			opts.Recorder.Count("pipeline.snapshot_dirty_blocks", int64(dirty))
-		}
-		if opts.OnPass != nil {
-			opts.OnPass(p.Name, f)
-		}
-	}
-	return nil
-}
-
-// irSize measures a function for span deltas: total instructions and block
-// count.
-func irSize(f *rtl.Fn) (instrs, blocks int) {
-	for _, b := range f.Blocks {
-		instrs += len(b.Instrs)
-	}
-	return instrs, len(f.Blocks)
-}
-
-// runOne applies one pass, converting a panic into a structured *PassError.
-func runOne(p Pass, f *rtl.Fn) (perr *PassError) {
-	defer func() {
-		if r := recover(); r != nil {
-			perr = &PassError{Pass: p.Name, Fn: f.Name, Recovered: r, Stack: debug.Stack()}
-		}
-	}()
-	if err := p.Run(f); err != nil {
-		return &PassError{Pass: p.Name, Fn: f.Name, Err: err}
-	}
-	return nil
 }

@@ -5,13 +5,13 @@
 // allocator makes that pressure measurable (the ablation benchmarks sweep
 // the register file size and watch spill traffic erase the coalescing win).
 //
-// Conventions after Run(f, k):
+// Conventions after RunFlat(fp, fi, k):
 //
 //   - the function uses physical registers 0..k-1 only;
 //   - parameters arrive in physical registers 0..len(params)-1, matching
 //     the simulator's calling convention;
-//   - register k-1 is the frame pointer when spills exist (Fn.FrameReg);
-//     spill slots live at [FP+0, FP+8, ...] and Fn.FrameBytes reports the
+//   - register k-1 is the frame pointer when spills exist (FlatFn.FrameReg);
+//     spill slots live at [FP+0, FP+8, ...] and FlatFn.FrameBytes reports the
 //     frame size the simulator must reserve;
 //   - registers k-2 and k-3 are scratch for spill reloads.
 package regalloc
@@ -25,7 +25,7 @@ import (
 	"macc/internal/rtl"
 )
 
-// MinRegs is the smallest register file Run accepts: two scratch registers,
+// MinRegs is the smallest register file RunFlat accepts: two scratch registers,
 // a frame pointer, and at least four allocatable registers.
 const MinRegs = 7
 
@@ -45,27 +45,26 @@ type interval struct {
 	slot       int     // spill slot index when phys == NoReg
 }
 
-// Run rewrites f to use at most k physical registers, inserting spill code
-// as needed. Parameters must number at most k-4.
-func Run(f *rtl.Fn, k int) (Stats, error) {
+// RunFlat rewrites function fi of fp to use at most k physical registers,
+// inserting spill code as needed. Parameters must number at most k-4.
+func RunFlat(fp *rtl.FlatProgram, fi int, k int) (Stats, error) {
+	f := &fp.Fns[fi]
 	if k < MinRegs {
 		return Stats{}, fmt.Errorf("regalloc: need at least %d registers, have %d", MinRegs, k)
 	}
 	if len(f.Params) > k-4 {
 		return Stats{}, fmt.Errorf("regalloc: %d parameters exceed %d-register convention", len(f.Params), k)
 	}
-	fp := rtl.Reg(k - 1)
+	frameReg := rtl.Reg(k - 1)
 	scratch := [2]rtl.Reg{rtl.Reg(k - 2), rtl.Reg(k - 3)}
 	allocatable := k - 3
 
-	ivs := buildIntervals(f)
-	assignLocations(ivs, allocatable, f)
+	ivs, loc := buildIntervals(fp, fi)
+	assignLocations(ivs, allocatable)
 
-	loc := make(map[rtl.Reg]*interval, len(ivs))
 	spilled := 0
 	maxSlot := -1
 	for _, iv := range ivs {
-		loc[iv.vreg] = iv
 		if iv.phys == rtl.NoReg {
 			spilled++
 			if iv.slot > maxSlot {
@@ -73,43 +72,40 @@ func Run(f *rtl.Fn, k int) (Stats, error) {
 			}
 		}
 	}
-	rewrite(f, loc, fp, scratch)
+	rewrite(f, loc, frameReg, scratch)
 	frame := 0
 	if spilled > 0 {
 		frame = (maxSlot + 1) * 8
-		f.FrameReg = fp
-		f.FrameBytes = frame
+		f.FrameReg = frameReg
+		f.FrameBytes = int64(frame)
 	}
-	f.EnsureRegs(k)
+	if f.NextReg < rtl.Reg(k) {
+		f.NextReg = rtl.Reg(k)
+	}
 	return Stats{Physical: k, Spilled: spilled, FrameSize: frame, Intervals: len(ivs)}, nil
 }
 
 // buildIntervals computes one conservative live interval per virtual
 // register over the block layout order, extending intervals across whole
 // blocks where liveness says the value crosses them (the standard
-// adaptation that keeps linear scan sound on loops).
-func buildIntervals(f *rtl.Fn) []*interval {
-	g := cfg.New(f)
-	lv := dataflow.ComputeLiveness(g)
+// adaptation that keeps linear scan sound on loops). Blocks tile the flat
+// instruction arrays in layout order, so an instruction's index is its
+// position. It returns the intervals sorted by start and the interval of
+// each register (nil for registers never mentioned).
+func buildIntervals(fp *rtl.FlatProgram, fi int) ([]*interval, []*interval) {
+	g := cfg.NewFlat(fp, fi)
+	var lv dataflow.FlatLiveness
+	lv.Compute(g)
+	f := g.F
 
-	pos := 0
-	blockRange := make(map[*rtl.Block][2]int, len(f.Blocks))
-	instrPos := make(map[*rtl.Instr]int)
-	for _, b := range f.Blocks {
-		start := pos
-		for _, in := range b.Instrs {
-			instrPos[in] = pos
-			pos++
-		}
-		blockRange[b] = [2]int{start, pos - 1}
-	}
-
-	ivs := make(map[rtl.Reg]*interval)
+	loc := make([]*interval, f.NumRegs())
+	var out []*interval
 	extend := func(r rtl.Reg, p int) {
-		iv := ivs[r]
+		iv := loc[r]
 		if iv == nil {
 			iv = &interval{vreg: r, start: p, end: p, pinned: rtl.NoReg, phys: rtl.NoReg}
-			ivs[r] = iv
+			loc[r] = iv
+			out = append(out, iv)
 			return
 		}
 		if p < iv.start {
@@ -121,31 +117,23 @@ func buildIntervals(f *rtl.Fn) []*interval {
 	}
 	for i, p := range f.Params {
 		extend(p, 0)
-		ivs[p].pinned = rtl.Reg(i)
+		loc[p].pinned = rtl.Reg(i)
 	}
-	var regs []rtl.Reg
-	for _, b := range f.Blocks {
-		r := blockRange[b]
-		lv.LiveInSet(b).ForEach(func(i int) {
-			extend(rtl.Reg(i), r[0])
-		})
-		lv.LiveOutSet(b).ForEach(func(i int) {
-			extend(rtl.Reg(i), r[1])
-		})
-		for _, in := range b.Instrs {
-			p := instrPos[in]
-			regs = in.Uses(regs[:0])
-			for _, u := range regs {
-				extend(u, p)
-			}
-			if d, ok := in.Def(); ok {
-				extend(d, p)
+	for bi := range f.Blocks {
+		b := &f.Blocks[bi]
+		first, last := int(b.InstrStart), int(b.InstrEnd)-1
+		lv.LiveInSet(int32(bi)).ForEach(func(r int) { extend(rtl.Reg(r), first) })
+		lv.LiveOutSet(int32(bi)).ForEach(func(r int) { extend(rtl.Reg(r), last) })
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
+			f.SrcSlots(i, func(o *rtl.Operand) {
+				if o.Kind == rtl.KindReg {
+					extend(o.Reg, int(i))
+				}
+			})
+			if d, ok := f.Def(i); ok {
+				extend(d, int(i))
 			}
 		}
-	}
-	out := make([]*interval, 0, len(ivs))
-	for _, iv := range ivs {
-		out = append(out, iv)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].start != out[j].start {
@@ -153,13 +141,13 @@ func buildIntervals(f *rtl.Fn) []*interval {
 		}
 		return out[i].vreg < out[j].vreg
 	})
-	return out
+	return out, loc
 }
 
 // assignLocations runs the linear scan: pinned intervals take their
 // pre-colored registers, others take free registers, and when none is free
 // the interval with the furthest end is spilled.
-func assignLocations(ivs []*interval, allocatable int, f *rtl.Fn) {
+func assignLocations(ivs []*interval, allocatable int) {
 	free := make([]bool, allocatable)
 	for i := range free {
 		free[i] = true
@@ -240,58 +228,76 @@ func assignLocations(ivs []*interval, allocatable int, f *rtl.Fn) {
 }
 
 // rewrite renames every operand to its physical register, or routes it
-// through a scratch register with a reload/store when spilled.
-func rewrite(f *rtl.Fn, loc map[rtl.Reg]*interval, fp rtl.Reg, scratch [2]rtl.Reg) {
-	for _, b := range f.Blocks {
-		out := make([]*rtl.Instr, 0, len(b.Instrs))
-		for _, in := range b.Instrs {
+// through a scratch register with a reload/store when spilled. Blocks
+// without spill code are renamed in place; the others are re-spliced with
+// their reloads and stores.
+func rewrite(f *rtl.FlatFn, loc []*interval, frameReg rtl.Reg, scratch [2]rtl.Reg) {
+	type held struct{ vreg, s rtl.Reg }
+	var out []rtl.FlatInstr
+	var seen []held // spilled sources of one instruction already reloaded
+	for bi := int32(0); bi < int32(len(f.Blocks)); bi++ {
+		b := &f.Blocks[bi]
+		out = out[:0]
+		spills := false
+		for i := b.InstrStart; i < b.InstrEnd; i++ {
 			nextScratch := 0
-			// Reload spilled sources into scratch registers.
-			seen := map[rtl.Reg]rtl.Reg{} // vreg -> scratch already holding it
-			for _, o := range in.SrcOperands() {
-				r, ok := o.IsReg()
-				if !ok {
-					continue
+			seen = seen[:0]
+			f.SrcSlots(i, func(o *rtl.Operand) {
+				if o.Kind != rtl.KindReg {
+					return
 				}
-				iv := loc[r]
+				iv := loc[o.Reg]
 				if iv == nil {
-					continue // never-used register (defensive)
+					return // never-used register (defensive)
 				}
 				if iv.phys != rtl.NoReg {
 					o.Reg = iv.phys
-					continue
+					return
 				}
-				if s, dup := seen[r]; dup {
-					o.Reg = s
-					continue
+				for _, h := range seen {
+					if h.vreg == o.Reg {
+						o.Reg = h.s
+						return
+					}
 				}
 				s := scratch[nextScratch]
 				nextScratch = (nextScratch + 1) % len(scratch)
-				out = append(out, rtl.LoadI(s, rtl.R(fp), int64(iv.slot)*8, rtl.W8, false))
-				seen[r] = s
+				reload := rtl.MkInstr(rtl.Load)
+				reload.Dst = s
+				reload.A = rtl.R(frameReg)
+				reload.Disp = int64(iv.slot) * 8
+				reload.Width = rtl.W8
+				out = append(out, reload)
+				spills = true
+				seen = append(seen, held{o.Reg, s})
 				o.Reg = s
-			}
-			d, hasDef := in.Def()
-			var spillStore *rtl.Instr
-			if hasDef {
-				iv := loc[d]
-				switch {
+			})
+			var store rtl.FlatInstr
+			spillDef := false
+			if d, ok := f.Def(i); ok {
+				switch iv := loc[d]; {
 				case iv == nil:
 					// dead def; leave as is (DCE normally removed it)
 				case iv.phys != rtl.NoReg:
-					in.Dst = iv.phys
+					f.Dst[i] = iv.phys
 				default:
-					s := scratch[0]
-					in.Dst = s
-					spillStore = rtl.StoreI(rtl.R(fp), int64(iv.slot)*8, rtl.R(s), rtl.W8)
+					f.Dst[i] = scratch[0]
+					store = rtl.MkInstr(rtl.Store)
+					store.A = rtl.R(frameReg)
+					store.B = rtl.R(scratch[0])
+					store.Disp = int64(iv.slot) * 8
+					store.Width = rtl.W8
+					spillDef, spills = true, true
 				}
 			}
-			out = append(out, in)
-			if spillStore != nil {
-				out = append(out, spillStore)
+			out = append(out, f.Instr(i))
+			if spillDef {
+				out = append(out, store)
 			}
 		}
-		b.Instrs = out
+		if spills {
+			f.SpliceInstrs(bi, 0, b.InstrEnd-b.InstrStart, out)
+		}
 	}
 	for i := range f.Params {
 		f.Params[i] = rtl.Reg(i)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"macc"
+	"macc/internal/flattest"
 	"macc/internal/machine"
 	"macc/internal/regalloc"
 	"macc/internal/rtl"
@@ -31,6 +32,24 @@ func compileUnrolled(t *testing.T) *macc.Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// allocate runs the allocator with a k-register file over the function
+// named name in p's flat image, through the shared flat test helper, and
+// rematerializes p.RTL from the result.
+func allocate(t *testing.T, p *macc.Program, name string, k int) (regalloc.Stats, error) {
+	t.Helper()
+	fp := flattest.FlatProgram(t, p.RTL)
+	var stats regalloc.Stats
+	var err error
+	for fi := range fp.Fns {
+		if fp.SymName(fp.Fns[fi].Name) == name {
+			stats, err = regalloc.RunFlat(fp, fi, k)
+		}
+	}
+	p.RTL = flattest.Unflatten(t, fp)
+	p.Flat = nil
+	return stats, err
 }
 
 func maxRegUsed(f *rtl.Fn) rtl.Reg {
@@ -75,7 +94,8 @@ func TestAllocationBoundsRegisters(t *testing.T) {
 		p := compileUnrolled(t)
 		f, _ := p.Fn("dotproduct")
 		before := maxRegUsed(f)
-		stats, err := regalloc.Run(f, k)
+		stats, err := allocate(t, p, "dotproduct", k)
+		f, _ = p.Fn("dotproduct")
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -98,8 +118,7 @@ func TestAllocatedCodeComputesSameResults(t *testing.T) {
 	want := runDot(t, compileUnrolled(t), 57)
 	for _, k := range []int{8, 10, 16, 32} {
 		p := compileUnrolled(t)
-		f, _ := p.Fn("dotproduct")
-		if _, err := regalloc.Run(f, k); err != nil {
+		if _, err := allocate(t, p, "dotproduct", k); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if got := runDot(t, p, 57); got != want {
@@ -111,8 +130,7 @@ func TestAllocatedCodeComputesSameResults(t *testing.T) {
 func TestSpillsIncreaseMemoryTraffic(t *testing.T) {
 	measure := func(k int) int64 {
 		p := compileUnrolled(t)
-		f, _ := p.Fn("dotproduct")
-		if _, err := regalloc.Run(f, k); err != nil {
+		if _, err := allocate(t, p, "dotproduct", k); err != nil {
 			t.Fatal(err)
 		}
 		s := sim.New(p.RTL, machine.Alpha(), 1<<16)
@@ -133,13 +151,12 @@ func TestSpillsIncreaseMemoryTraffic(t *testing.T) {
 
 func TestRunRejectsTinyFiles(t *testing.T) {
 	p := compileUnrolled(t)
-	f, _ := p.Fn("dotproduct")
-	if _, err := regalloc.Run(f, 4); err == nil {
+	if _, err := allocate(t, p, "dotproduct", 4); err == nil {
 		t.Error("4 registers must be rejected")
 	}
 	fMany := rtl.NewFn("many", 6)
 	fMany.Entry().Instrs = []*rtl.Instr{rtl.RetI(rtl.C(0))}
-	if _, err := regalloc.Run(fMany, 8); err == nil {
+	if _, err := regalloc.RunFlat(flattest.Flat(t, fMany), 0, 8); err == nil {
 		t.Error("too many parameters for the register file must be rejected")
 	}
 }
@@ -175,10 +192,10 @@ func TestRandomProgramsSurviveAllocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		af, _ := alloc.Fn("f")
-		if _, err := regalloc.Run(af, 8); err != nil {
+		if _, err := allocate(t, alloc, "f", 8); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		af, _ := alloc.Fn("f")
 		if err := af.Verify(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

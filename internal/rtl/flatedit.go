@@ -1,12 +1,10 @@
 package rtl
 
 // Flat editing layer: index-based mutation primitives over FlatFn so
-// optimization passes can run natively on the struct-of-arrays form. The
-// idiom mirrors the pointer-graph passes instruction for instruction —
-// in-place field rewrites for per-instruction transforms, kill markers plus
-// one compaction sweep for deletion passes, and block-range splicing for the
-// surgery passes (preheader checks, loop replication) — so a flat pass and
-// its graph twin produce byte-identical programs.
+// optimization passes run natively on the struct-of-arrays form: in-place
+// field rewrites for per-instruction transforms, kill markers plus one
+// compaction sweep for deletion passes, and block-range splicing for the
+// surgery passes (preheader checks, loop replication, spill code).
 //
 // Invariants preserved by every primitive here (and checked by VerifyFn /
 // Validate): instruction arrays stay parallel, block ranges stay contiguous
@@ -47,8 +45,8 @@ func (f *FlatFn) Instr(i int32) FlatInstr {
 }
 
 // SetInstr scatters value in into instruction slot i. Operands are
-// canonicalized exactly as Flatten does, so a flat rewrite and a graph
-// rewrite of the same instruction flatten to identical bytes.
+// canonicalized exactly as Flatten does, so a rewritten instruction and a
+// flattened one with the same fields are identical bytes.
 func (f *FlatFn) SetInstr(i int32, in FlatInstr) {
 	f.Op[i] = in.Op
 	f.Dst[i] = in.Dst
@@ -63,19 +61,18 @@ func (f *FlatFn) SetInstr(i int32, in FlatInstr) {
 	f.CallIdx[i] = in.CallIdx
 }
 
-// NumRegs mirrors Fn.NumRegs: the size of the virtual register pool.
+// NumRegs returns the size of the virtual register pool.
 func (f *FlatFn) NumRegs() int { return int(f.NextReg) }
 
-// NewReg allocates a fresh virtual register, advancing the same counter the
-// pointer graph would, so flat and graph transforms name new registers
-// identically.
+// NewReg allocates a fresh virtual register, advancing the counter that
+// Flatten and Unflatten carry over from Fn.NewReg.
 func (f *FlatFn) NewReg() Reg {
 	r := f.NextReg
 	f.NextReg++
 	return r
 }
 
-// Def mirrors Instr.Def for instruction i: the register defined, if any.
+// Def returns the register instruction i defines, if any (as Instr.Def).
 func (f *FlatFn) Def(i int32) (Reg, bool) {
 	if f.Dst[i] != NoReg {
 		switch f.Op[i] {
@@ -88,9 +85,8 @@ func (f *FlatFn) Def(i int32) (Reg, bool) {
 }
 
 // SrcSlots invokes fn on a pointer to every source operand slot instruction
-// i actually uses, mirroring Instr.SrcOperands' opcode shapes — but without
-// allocating the slice of pointers, which is one of the graph walk's hottest
-// allocation sites.
+// i actually uses, in Instr.SrcOperands' order and opcode shapes — but
+// without allocating a slice of pointers.
 func (f *FlatFn) SrcSlots(i int32, fn func(o *Operand)) {
 	add := func(o *Operand) {
 		if o.Kind != KindNone {
@@ -327,9 +323,9 @@ func (f *FlatFn) RemoveBlocks(keep []bool) {
 	}
 }
 
-// CloneRegion is Fn.CloneRegion on the flat form: append one fresh block per
-// region block (in region order, so block-ID assignment matches the graph
-// path), then copy the instructions, remapping Target/Else edges that stay
+// CloneRegion deep-copies a set of blocks into function fi: append one fresh
+// block per region block (in region order, which fixes block-ID
+// assignment), then copy the instructions, remapping Target/Else edges that stay
 // inside the region and duplicating call payloads so the Calls/Args tables
 // keep one entry per call instruction. Returns the original→clone index map.
 func (fp *FlatProgram) CloneRegion(fi int, blocks []int32, nameSuffix string) map[int32]int32 {
@@ -369,9 +365,8 @@ func (fp *FlatProgram) CloneRegion(fi int, blocks []int32, nameSuffix string) ma
 }
 
 // TruncateBlocks removes blocks n.. (used to discard a replicated region
-// appended at the end, the flat removeClones). Register and block-ID
-// counters deliberately stay advanced, matching the graph path, which never
-// rolls them back after an unprofitable replication.
+// appended at the end). Register and block-ID counters deliberately stay
+// advanced: an unprofitable replication never rolls them back.
 func (f *FlatFn) TruncateBlocks(n int32) {
 	if int(n) >= len(f.Blocks) {
 		return
@@ -383,10 +378,9 @@ func (f *FlatFn) TruncateBlocks(n int32) {
 	// entries until the next Compact; every live index remains valid.
 }
 
-// UnflattenFn materializes one function as a private pointer graph — the
-// per-function bridge the flat pipeline uses for passes that still run on
-// the graph form. No whole-program validation: the pipeline's verify
-// checkpoints guard the image.
+// UnflattenFn materializes one function as a private pointer graph, for
+// the stage dumps of a flat compile. No whole-program validation: the
+// pipeline's verify checkpoints guard the image.
 func (fp *FlatProgram) UnflattenFn(fi int) *Fn {
 	ff := &fp.Fns[fi]
 	f := &Fn{
@@ -440,20 +434,4 @@ func (fp *FlatProgram) UnflattenFn(fi int) *Fn {
 	}
 	f.Blocks = blocks
 	return f
-}
-
-// FlattenFnInto re-flattens a bridged function back into slot fi, interning
-// any block labels the graph pass introduced. The inverse of UnflattenFn.
-func (fp *FlatProgram) FlattenFnInto(fi int, f *Fn) error {
-	it := &interner{syms: fp.Syms, idx: make(map[string]Sym, len(fp.Syms))}
-	for i, s := range fp.Syms {
-		it.idx[s] = Sym(i)
-	}
-	ff, err := flattenFn(f, it)
-	if err != nil {
-		return err
-	}
-	fp.Syms = it.syms
-	fp.Fns[fi] = ff
-	return nil
 }

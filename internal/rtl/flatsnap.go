@@ -1,11 +1,11 @@
 package rtl
 
-// FlatSnapshot is the flat pipeline's rollback journal: a last-known-good
-// image of one function captured by copying its dense arrays — no block
-// graph cloning, no per-instruction pointers, just range copies. Restore
-// writes the image back over the live function; Update recaptures after a
-// pass succeeds and reports how many blocks actually changed (the same
-// dirty metric the graph journal feeds telemetry).
+// FlatSnapshot is the pass pipeline's rollback journal: a last-known-good
+// image of one function captured by copying its dense arrays — no
+// per-instruction pointers, just range copies. Restore writes the image back
+// over the live function; Update recaptures after a pass succeeds and
+// reports how many blocks actually changed (the dirty metric the pipeline
+// feeds telemetry).
 //
 // The snapshot also records the program symbol-table length: symbols are
 // append-only, so rolling back a failed pass that interned fresh block

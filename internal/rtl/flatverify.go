@@ -31,7 +31,7 @@ func (fp *FlatProgram) VerifyFn(fi int) error {
 			return fmt.Errorf("%s/%s: empty block", name(), fp.blockName(f, int32(bi)))
 		}
 		where := func(i int32) string {
-			return fmt.Sprintf("%s/%s[%d] op=%s", name(), fp.blockName(f, int32(bi)), i-b.InstrStart, f.Op[i])
+			return fmt.Sprintf("%s/%s[%d] %s", name(), fp.blockName(f, int32(bi)), i-b.InstrStart, fp.instrString(f, i))
 		}
 		for i := b.InstrStart; i < b.InstrEnd; i++ {
 			isLast := i == b.InstrEnd-1
@@ -68,6 +68,31 @@ func (fp *FlatProgram) VerifyFn(fi int) error {
 		}
 	}
 	return nil
+}
+
+// instrString renders instruction i in the printer's syntax, for verifier
+// messages. An edge index past the block table names no block; it prints
+// as "phantom".
+func (fp *FlatProgram) instrString(f *FlatFn, i int32) string {
+	in := Instr{Op: f.Op[i], Dst: f.Dst[i], A: f.A[i], B: f.B[i], C: f.C[i],
+		Width: f.Width[i], Signed: f.Signed[i], Disp: f.Disp[i]}
+	edge := func(t int32) *Block {
+		switch {
+		case t < 0:
+			return nil
+		case int(t) < len(f.Blocks):
+			return &Block{Name: fp.blockName(f, t)}
+		default:
+			return &Block{Name: "phantom"}
+		}
+	}
+	in.Target, in.Else = edge(f.Target[i]), edge(f.Else[i])
+	if ci := f.CallIdx[i]; ci >= 0 {
+		c := &f.Calls[ci]
+		in.Callee = fp.symName(c.Callee)
+		in.Args = f.Args[c.ArgStart:c.ArgEnd]
+	}
+	return in.String()
 }
 
 func (fp *FlatProgram) symName(s Sym) string {
@@ -133,7 +158,8 @@ func (f *FlatFn) verifyStructure(fp *FlatProgram, fi int) error {
 	return nil
 }
 
-// verifyFlatShape mirrors verifyShape over the arrays.
+// verifyFlatShape applies verifyShape's operand-shape rules to instruction
+// i.
 func (f *FlatFn) verifyFlatShape(i int32) error {
 	needDst := f.Dst[i] != NoReg
 	needA := f.A[i].Kind != KindNone

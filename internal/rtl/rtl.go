@@ -198,15 +198,6 @@ func (op Op) IsBinary() bool {
 	return (op >= Add && op <= Shr && op != Neg && op != Not) || op.IsCompare()
 }
 
-// IsCommutative reports whether swapping A and B preserves semantics.
-func (op Op) IsCommutative() bool {
-	switch op {
-	case Add, Mul, And, Or, Xor, SetEQ, SetNE:
-		return true
-	}
-	return false
-}
-
 // Instr is a single RTL instruction. Which fields are meaningful depends on
 // Op; the Verify pass enforces the shape.
 type Instr struct {
@@ -325,16 +316,6 @@ func (in *Instr) ReplaceUses(from Reg, to Operand) int {
 // IsMem reports whether the instruction touches memory.
 func (in *Instr) IsMem() bool { return in.Op == Load || in.Op == Store }
 
-// Clone returns a deep copy of the instruction. Block targets still point at
-// the original blocks; callers rewire them when cloning regions.
-func (in *Instr) Clone() *Instr {
-	cp := *in
-	if in.Args != nil {
-		cp.Args = append([]Operand(nil), in.Args...)
-	}
-	return &cp
-}
-
 // Block is a basic block: zero or more straight-line instructions followed
 // by exactly one terminator.
 type Block struct {
@@ -354,14 +335,6 @@ func (b *Block) Term() *Instr {
 		return nil
 	}
 	return t
-}
-
-// Body returns the instructions before the terminator.
-func (b *Block) Body() []*Instr {
-	if b.Term() == nil {
-		return b.Instrs
-	}
-	return b.Instrs[:len(b.Instrs)-1]
 }
 
 // Succs returns the block's successor blocks in (taken, fallthrough) order.
@@ -480,27 +453,6 @@ func (f *Fn) NewBlock(name string) *Block {
 	b.Name = name
 	f.Blocks = append(f.Blocks, b)
 	return b
-}
-
-// BlockIndex returns the position of b in f.Blocks, or -1.
-func (f *Fn) BlockIndex(b *Block) int {
-	for i, x := range f.Blocks {
-		if x == b {
-			return i
-		}
-	}
-	return -1
-}
-
-// RemoveBlock deletes block b from the function. The caller must have
-// rewired all edges into b beforehand.
-func (f *Fn) RemoveBlock(b *Block) {
-	for i, x := range f.Blocks {
-		if x == b {
-			f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-			return
-		}
-	}
 }
 
 // Global is a statically allocated data object. The front end lays globals

@@ -201,54 +201,47 @@ func TestCloneRegionRewiresInternalEdges(t *testing.T) {
 	header.Instrs = []*Instr{MovI(cond, C(1)), BranchI(R(cond), body, exit)}
 	body.Instrs = []*Instr{JumpI(header)}
 	exit.Instrs = []*Instr{RetI(C(0))}
+	fp, err := Flatten(NewProgram(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &fp.Fns[0]
 
-	m := f.CloneRegion([]*rtlBlockAlias{header, body}, ".copy")
-	h2, b2 := m[header], m[body]
-	if h2 == nil || b2 == nil {
+	const h, b, e = 1, 2, 3
+	m := fp.CloneRegion(0, []int32{h, b}, ".copy")
+	h2, b2 := m[h], m[b]
+	if h2 < 4 || b2 < 4 {
 		t.Fatal("clone missing blocks")
 	}
+	term := func(bi int32) FlatInstr {
+		ti, _, ok := ff.TermIdx(bi)
+		if !ok {
+			t.Fatalf("block %d has no terminator", bi)
+		}
+		return ff.Instr(ti)
+	}
 	// Internal edge header->body must point at the copy.
-	if h2.Term().Target != b2 {
+	if term(h2).Target != b2 {
 		t.Error("internal branch edge not rewired to copy")
 	}
 	// External edge header->exit stays.
-	if h2.Term().Else != exit {
+	if term(h2).Else != e {
 		t.Error("external edge should still point at the original exit")
 	}
 	// The back edge in the copied body points at the copied header.
-	if b2.Term().Target != h2 {
+	if term(b2).Target != h2 {
 		t.Error("back edge not rewired")
 	}
+	if got := fp.SymName(ff.Blocks[h2].Name); got != "h.copy" {
+		t.Errorf("copied header named %q, want h.copy", got)
+	}
 	// Mutating the copy must not touch the original.
-	h2.Instrs[0].A = C(99)
-	if v, _ := header.Instrs[0].A.IsConst(); v != 1 {
+	ff.A[ff.Blocks[h2].InstrStart] = C(99)
+	if v, _ := ff.A[ff.Blocks[h].InstrStart].IsConst(); v != 1 {
 		t.Error("clone shares instruction storage with original")
 	}
-}
-
-// rtlBlockAlias exists to keep the test readable; CloneRegion takes the
-// package's Block type.
-type rtlBlockAlias = Block
-
-func TestRenameRegs(t *testing.T) {
-	f := NewFn("t", 0)
-	r1, r2 := f.NewReg(), f.NewReg()
-	b := f.Entry()
-	b.Instrs = []*Instr{
-		BinI(Add, r1, R(r1), C(1)),
-		MovI(r2, R(r1)),
-		RetI(R(r2)),
-	}
-	nr := f.NewReg()
-	RenameRegs([]*Block{b}, map[Reg]Reg{r1: nr})
-	if b.Instrs[0].Dst != nr || b.Instrs[0].A.Reg != nr {
-		t.Error("def and self-use not renamed")
-	}
-	if b.Instrs[1].A.Reg != nr {
-		t.Error("use not renamed")
-	}
-	if b.Instrs[2].A.Reg != r2 {
-		t.Error("unrelated register renamed")
+	if err := fp.VerifyFn(0); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -393,19 +386,5 @@ func TestPrinterShapes(t *testing.T) {
 	dot := f.Dot()
 	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "entry") {
 		t.Errorf("dot output malformed:\n%s", dot)
-	}
-}
-
-func TestRedirectEdges(t *testing.T) {
-	f := NewFn("t", 0)
-	a := f.Entry()
-	b := f.NewBlock("b")
-	c := f.NewBlock("c")
-	a.Instrs = []*Instr{JumpI(b)}
-	b.Instrs = []*Instr{RetI(C(0))}
-	c.Instrs = []*Instr{RetI(C(1))}
-	f.RedirectEdges(b, c)
-	if a.Term().Target != c {
-		t.Error("edge not redirected")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"macc/internal/cfg"
+	"macc/internal/flattest"
 	"macc/internal/machine"
 	"macc/internal/opt"
 	"macc/internal/regalloc"
@@ -58,14 +59,13 @@ func behaviour(t *testing.T, f *rtl.Fn, m *machine.Machine) string {
 
 // checkPass verifies that transform preserves behaviour on many generated
 // programs.
-func checkPass(t *testing.T, name string, seeds int, transform func(*rtl.Fn)) {
+func checkPass(t *testing.T, name string, seeds int, transform func(fp *rtl.FlatProgram, fi int)) {
 	t.Helper()
 	m := machine.M68030() // tolerant of any alignment; timing irrelevant here
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		f := mustGen(t, seed)
 		want := behaviour(t, f, m)
-		f2 := f.Clone()
-		transform(f2)
+		f2 := flattest.Apply(t, f, transform)
 		if err := f2.Verify(); err != nil {
 			t.Fatalf("%s seed %d: invalid output: %v\n%s", name, seed, err, f2)
 		}
@@ -80,70 +80,74 @@ func checkPass(t *testing.T, name string, seeds int, transform func(*rtl.Fn)) {
 const seeds = 60
 
 func TestFoldConstantsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "FoldConstants", seeds, func(f *rtl.Fn) { opt.FoldConstants(f) })
+	checkPass(t, "FoldConstants", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatFoldConstants(fp, fi) })
 }
 
 func TestPropagateLocalPreservesBehaviour(t *testing.T) {
-	checkPass(t, "PropagateLocal", seeds, func(f *rtl.Fn) { opt.PropagateLocal(f) })
+	checkPass(t, "PropagateLocal", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatPropagateLocal(fp, fi) })
 }
 
 func TestPropagateImmutablePreservesBehaviour(t *testing.T) {
-	checkPass(t, "PropagateImmutable", seeds, func(f *rtl.Fn) { opt.PropagateImmutable(f) })
+	checkPass(t, "PropagateImmutable", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatPropagateImmutable(fp, fi) })
 }
 
 func TestLocalCSEPreservesBehaviour(t *testing.T) {
-	checkPass(t, "LocalCSE", seeds, func(f *rtl.Fn) { opt.LocalCSE(f) })
+	checkPass(t, "LocalCSE", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatLocalCSE(fp, fi) })
 }
 
 func TestCollapseMovChainsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "CollapseMovChains", seeds, func(f *rtl.Fn) { opt.CollapseMovChains(f) })
+	checkPass(t, "CollapseMovChains", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatCollapseMovChains(fp, fi) })
 }
 
 func TestDeadCodeElimPreservesBehaviour(t *testing.T) {
-	checkPass(t, "DeadCodeElim", seeds, func(f *rtl.Fn) { opt.DeadCodeElim(f) })
+	checkPass(t, "DeadCodeElim", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatDeadCodeElim(fp, fi) })
 }
 
 func TestEliminateDeadIVsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "EliminateDeadIVs", seeds, func(f *rtl.Fn) { opt.EliminateDeadIVs(f) })
+	checkPass(t, "EliminateDeadIVs", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatEliminateDeadIVs(fp, fi) })
 }
 
 func TestNormalizeAddressesPreservesBehaviour(t *testing.T) {
-	checkPass(t, "NormalizeAddresses", seeds, func(f *rtl.Fn) { opt.NormalizeAddresses(f) })
+	checkPass(t, "NormalizeAddresses", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatNormalizeAddresses(fp, fi) })
 }
 
 func TestThreadJumpsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "ThreadJumps", seeds, func(f *rtl.Fn) { opt.ThreadJumps(f) })
+	checkPass(t, "ThreadJumps", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatThreadJumps(fp, fi) })
 }
 
 func TestCleanPreservesBehaviour(t *testing.T) {
-	checkPass(t, "Clean", seeds, func(f *rtl.Fn) { opt.Clean(f) })
+	checkPass(t, "Clean", seeds, func(fp *rtl.FlatProgram, fi int) { opt.FlatClean(fp, fi) })
+}
+
+// hoistAll gives every loop of function fi a preheader and hoists its
+// invariants.
+func hoistAll(fp *rtl.FlatProgram, fi int) {
+	g := cfg.NewFlat(fp, fi)
+	loops := g.FindLoops()
+	for _, l := range loops {
+		g.EnsurePreheader(l)
+	}
+	for _, l := range loops {
+		opt.FlatHoistInvariants(fp, fi, l)
+	}
 }
 
 func TestHoistInvariantsPreservesBehaviour(t *testing.T) {
-	checkPass(t, "HoistInvariants", seeds, func(f *rtl.Fn) {
-		g := cfg.New(f)
-		loops := g.FindLoops()
-		for _, l := range loops {
-			g.EnsurePreheader(l)
-		}
-		for _, l := range loops {
-			opt.HoistInvariants(f, g, l)
-		}
-	})
+	checkPass(t, "HoistInvariants", seeds, hoistAll)
 }
 
 func TestSchedulePreservesBehaviour(t *testing.T) {
 	for _, m := range machine.All() {
-		checkPass(t, "Schedule/"+m.Name, seeds/2, func(f *rtl.Fn) {
-			sched.ScheduleFn(f, m)
+		checkPass(t, "Schedule/"+m.Name, seeds/2, func(fp *rtl.FlatProgram, fi int) {
+			sched.ScheduleFlatFn(fp, fi, m)
 		})
 	}
 }
 
 func TestRegallocPreservesBehaviour(t *testing.T) {
 	for _, k := range []int{8, 16, 32} {
-		checkPass(t, fmt.Sprintf("Regalloc/%d", k), seeds/2, func(f *rtl.Fn) {
-			if _, err := regalloc.Run(f, k); err != nil {
+		checkPass(t, fmt.Sprintf("Regalloc/%d", k), seeds/2, func(fp *rtl.FlatProgram, fi int) {
+			if _, err := regalloc.RunFlat(fp, fi, k); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -151,20 +155,13 @@ func TestRegallocPreservesBehaviour(t *testing.T) {
 }
 
 func TestFullPipelinePreservesBehaviour(t *testing.T) {
-	checkPass(t, "pipeline", seeds, func(f *rtl.Fn) {
-		opt.Clean(f)
-		g := cfg.New(f)
-		loops := g.FindLoops()
-		for _, l := range loops {
-			g.EnsurePreheader(l)
-		}
-		for _, l := range loops {
-			opt.HoistInvariants(f, g, l)
-		}
-		opt.Clean(f)
-		opt.NormalizeAddresses(f)
-		opt.Clean(f)
-		sched.ScheduleFn(f, machine.Alpha())
+	checkPass(t, "pipeline", seeds, func(fp *rtl.FlatProgram, fi int) {
+		opt.FlatClean(fp, fi)
+		hoistAll(fp, fi)
+		opt.FlatClean(fp, fi)
+		opt.FlatNormalizeAddresses(fp, fi)
+		opt.FlatClean(fp, fi)
+		sched.ScheduleFlatFn(fp, fi, machine.Alpha())
 	})
 }
 

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"testing"
 
+	"macc/internal/flattest"
 	"macc/internal/machine"
 	"macc/internal/rtl"
 	"macc/internal/sched"
@@ -14,11 +15,30 @@ func block(f *rtl.Fn, ins ...*rtl.Instr) *rtl.Block {
 	return b
 }
 
-// order returns the position of each instruction after scheduling.
-func positions(b *rtl.Block) map[*rtl.Instr]int {
-	m := make(map[*rtl.Instr]int)
+// schedule list-schedules f's entry block on its flat form and writes the
+// scheduled block back into f, returning the estimated cycle count.
+func schedule(t *testing.T, f *rtl.Fn, m *machine.Machine) int {
+	t.Helper()
+	fp := flattest.Flat(t, f)
+	var sc sched.FlatScratch
+	cycles := sched.ScheduleFlat(&fp.Fns[0], 0, m, &sc)
+	f.Entry().Instrs = flattest.Unflatten(t, fp).Fns[0].Entry().Instrs
+	return cycles
+}
+
+// estimate returns the scheduled cycle count of f's entry block.
+func estimate(t *testing.T, f *rtl.Fn, m *machine.Machine) int {
+	t.Helper()
+	var sc sched.FlatScratch
+	return sched.EstimateFlat(&flattest.Flat(t, f).Fns[0], 0, m, &sc)
+}
+
+// positions returns the position of each instruction, by its printed form
+// (unique within each test block), after scheduling.
+func positions(b *rtl.Block) map[string]int {
+	m := make(map[string]int)
 	for i, in := range b.Instrs {
-		m[in] = i
+		m[in.String()] = i
 	}
 	return m
 }
@@ -31,9 +51,9 @@ func TestScheduleKeepsDataDependences(t *testing.T) {
 	i2 := rtl.BinI(rtl.Mul, t2, rtl.R(t1), rtl.C(3))
 	i3 := rtl.BinI(rtl.Add, t3, rtl.R(t2), rtl.C(1))
 	bb := block(f, i1, i2, i3, rtl.RetI(rtl.R(t3)))
-	sched.Schedule(bb, machine.Alpha())
+	schedule(t, f, machine.Alpha())
 	pos := positions(bb)
-	if !(pos[i1] < pos[i2] && pos[i2] < pos[i3]) {
+	if !(pos[i1.String()] < pos[i2.String()] && pos[i2.String()] < pos[i3.String()]) {
 		t.Errorf("RAW chain reordered: %v", bb.Instrs)
 	}
 	if bb.Term().Op != rtl.Ret {
@@ -53,9 +73,9 @@ func TestScheduleHoistsLoadsAboveIndependentWork(t *testing.T) {
 	ld := rtl.LoadI(v, rtl.R(p), 0, rtl.W8, false)
 	use := rtl.BinI(rtl.Add, s, rtl.R(v), rtl.R(t2))
 	bb := block(f, a1, a2, ld, use, rtl.RetI(rtl.R(s)))
-	cycles := sched.Schedule(bb, machine.Alpha())
+	cycles := schedule(t, f, machine.Alpha())
 	pos := positions(bb)
-	if pos[ld] != 0 {
+	if pos[ld.String()] != 0 {
 		t.Errorf("load not hoisted to front: %v", bb.Instrs)
 	}
 	if cycles <= 0 {
@@ -71,9 +91,9 @@ func TestScheduleRespectsMemoryOrder(t *testing.T) {
 	st := rtl.StoreI(rtl.R(p), 0, rtl.C(1), rtl.W4)
 	ld := rtl.LoadI(v, rtl.R(q), 0, rtl.W4, true)
 	bb := block(f, st, ld, rtl.RetI(rtl.R(v)))
-	sched.Schedule(bb, machine.Alpha())
+	schedule(t, f, machine.Alpha())
 	pos := positions(bb)
-	if pos[st] > pos[ld] {
+	if pos[st.String()] > pos[ld.String()] {
 		t.Error("aliasing store/load reordered")
 	}
 }
@@ -91,9 +111,9 @@ func TestScheduleDisambiguatesSameBase(t *testing.T) {
 	use1 := rtl.BinI(rtl.Mul, u1, rtl.R(v), rtl.R(v))
 	use2 := rtl.BinI(rtl.Add, u2, rtl.R(u1), rtl.C(1))
 	bb := block(f, slow, st, ld, use1, use2, rtl.RetI(rtl.R(u2)))
-	sched.Schedule(bb, machine.Alpha())
+	schedule(t, f, machine.Alpha())
 	pos := positions(bb)
-	if pos[ld] > pos[st] {
+	if pos[ld.String()] > pos[st.String()] {
 		t.Errorf("provably disjoint load stuck behind store: %v", bb.Instrs)
 	}
 	// Sanity: with an overlapping displacement the order must hold.
@@ -106,9 +126,9 @@ func TestScheduleDisambiguatesSameBase(t *testing.T) {
 	useA := rtl.BinI(rtl.Mul, w1, rtl.R(v2), rtl.R(v2))
 	useB := rtl.BinI(rtl.Add, w2, rtl.R(w1), rtl.C(1))
 	bb2 := block(f2, slow2, st2, ld2, useA, useB, rtl.RetI(rtl.R(w2)))
-	sched.Schedule(bb2, machine.Alpha())
+	schedule(t, f2, machine.Alpha())
 	pos2 := positions(bb2)
-	if pos2[ld2] < pos2[st2] {
+	if pos2[ld2.String()] < pos2[st2.String()] {
 		t.Errorf("overlapping load hoisted above store: %v", bb2.Instrs)
 	}
 }
@@ -123,9 +143,9 @@ func TestScheduleKeepsOrderWhenBaseChanges(t *testing.T) {
 	bump := rtl.BinI(rtl.Add, p, rtl.R(p), rtl.C(8))
 	ld := rtl.LoadI(v, rtl.R(p), 0, rtl.W4, true)
 	bb := block(f, st, bump, ld, rtl.RetI(rtl.R(v)))
-	sched.Schedule(bb, machine.Alpha())
+	schedule(t, f, machine.Alpha())
 	pos := positions(bb)
-	if !(pos[st] < pos[bump] && pos[bump] < pos[ld]) {
+	if !(pos[st.String()] < pos[bump.String()] && pos[bump.String()] < pos[ld.String()]) {
 		t.Errorf("reordered across base update: %v", bb.Instrs)
 	}
 }
@@ -139,9 +159,9 @@ func TestCallIsBarrier(t *testing.T) {
 	call := rtl.CallI(d, "g")
 	ld := rtl.LoadI(v, rtl.R(p), 0, rtl.W4, true)
 	bb := block(f, st, call, ld, rtl.RetI(rtl.R(v)))
-	sched.Schedule(bb, machine.Alpha())
+	schedule(t, f, machine.Alpha())
 	pos := positions(bb)
-	if !(pos[st] < pos[call] && pos[call] < pos[ld]) {
+	if !(pos[st.String()] < pos[call.String()] && pos[call.String()] < pos[ld.String()]) {
 		t.Errorf("memory moved across call: %v", bb.Instrs)
 	}
 }
@@ -152,15 +172,15 @@ func TestEstimateDoesNotMutate(t *testing.T) {
 	t1, t2 := f.NewReg(), f.NewReg()
 	i1 := rtl.BinI(rtl.Mul, t1, rtl.R(a), rtl.R(b))
 	i2 := rtl.BinI(rtl.Add, t2, rtl.R(a), rtl.C(1))
-	bb := block(f, i1, i2, rtl.RetI(rtl.R(t2)))
-	before := append([]*rtl.Instr(nil), bb.Instrs...)
-	c1 := sched.Estimate(bb, machine.Alpha())
-	for i := range before {
-		if bb.Instrs[i] != before[i] {
-			t.Fatal("Estimate reordered the block")
-		}
+	block(f, i1, i2, rtl.RetI(rtl.R(t2)))
+	fp := flattest.Flat(t, f)
+	before := f.String()
+	var sc sched.FlatScratch
+	c1 := sched.EstimateFlat(&fp.Fns[0], 0, machine.Alpha(), &sc)
+	if after := flattest.Unflatten(t, fp).Fns[0].String(); after != before {
+		t.Fatalf("EstimateFlat reordered the block:\n%s", after)
 	}
-	c2 := sched.Schedule(bb, machine.Alpha())
+	c2 := schedule(t, f, machine.Alpha())
 	if c1 != c2 {
 		t.Errorf("Estimate (%d) and Schedule (%d) disagree", c1, c2)
 	}
@@ -172,9 +192,9 @@ func TestUnpipelinedCostIsSumOfCosts(t *testing.T) {
 	t1, t2 := f.NewReg(), f.NewReg()
 	i1 := rtl.BinI(rtl.Add, t1, rtl.R(a), rtl.R(b))
 	i2 := rtl.BinI(rtl.Add, t2, rtl.R(a), rtl.R(b))
-	bb := block(f, i1, i2, rtl.RetI(rtl.R(t2)))
+	block(f, i1, i2, rtl.RetI(rtl.R(t2)))
 	m := machine.M68030()
-	got := sched.Estimate(bb, m)
+	got := estimate(t, f, m)
 	want := 2*m.Sched.Alu + m.Sched.Branch
 	if got != want {
 		t.Errorf("unpipelined estimate = %d, want %d", got, want)
@@ -197,9 +217,9 @@ func TestSchedulingReducesEstimatedCycles(t *testing.T) {
 	bb := block(f, ins...)
 	// Cost of the original order, simulated naively: load latency stalls
 	// both adds. After scheduling the loads should lead.
-	after := sched.Schedule(bb, machine.Alpha())
+	after := schedule(t, f, machine.Alpha())
 	pos := positions(bb)
-	if pos[ins[2]] > pos[ins[1]] {
+	if pos[ins[2].String()] > pos[ins[1].String()] {
 		t.Errorf("independent load not hoisted: %v", bb.Instrs)
 	}
 	if after <= 0 {

@@ -1,3 +1,11 @@
+// Package unroll implements UnRollLoopIfProfitable from Figure 2 of the
+// paper: loop unrolling sized so the unrolled body exposes enough
+// consecutive narrow references for coalescing while still fitting the
+// instruction cache, together with a remainder loop so any trip count is
+// handled. Where the paper's example bails out to the rolled loop when the
+// trip count is not a multiple of the unroll factor, this implementation
+// keeps the rolled loop as a post-loop remainder, which also keeps the main
+// loop's first access at the (alignment-checked) partition base.
 package unroll
 
 import (
@@ -9,17 +17,14 @@ import (
 	"macc/internal/rtl"
 )
 
-// Flat twins of Shape, ChooseFactor, and Unroll over block indices. The
-// replication mirrors the graph path operation for operation — the same
-// NewBlock and NewReg order, the same copy-and-rename walk, the same
-// retargeting — so both produce byte-identical functions.
-
-// FlatCanonical is Canonical over block indices.
+// FlatCanonical is the rolled-loop shape the unroller accepts, as block
+// indices: a header holding the trip test, one straight-line body block,
+// and a latch holding the induction updates.
 type FlatCanonical struct {
 	Preheader, Header, Body, Latch, Exit int32
 }
 
-// FlatShape mirrors Shape for a loop of function f.
+// FlatShape checks whether loop l of function f is canonical and decomposes it.
 func FlatShape(f *rtl.FlatFn, l *cfg.FlatLoop) (FlatCanonical, bool) {
 	if len(l.Blocks) != 3 || l.Preheader < 0 {
 		return FlatCanonical{}, false
@@ -63,7 +68,11 @@ func blockLen(f *rtl.FlatFn, bi int32) int {
 	return int(b.InstrEnd - b.InstrStart)
 }
 
-// FlatChooseFactor mirrors ChooseFactor.
+// FlatChooseFactor picks the unroll factor for memory coalescing on machine
+// m: the widest ratio word/width over the loop's narrow memory references,
+// capped so the unrolled body fits the instruction cache (the paper's
+// heuristic) and capped at 16 to bound register pressure. It returns 1 when
+// unrolling is pointless (no narrow references or non-counted loop).
 func FlatChooseFactor(m *machine.Machine, f *rtl.FlatFn, c FlatCanonical, info *iv.FlatInfo) int {
 	if info.Control == nil {
 		return 1
@@ -92,9 +101,12 @@ func FlatChooseFactor(m *machine.Machine, f *rtl.FlatFn, c FlatCanonical, info *
 	return factor
 }
 
-// FlatUnroll mirrors Unroll for function fi: it appends the guard header
-// and the replicated body as two fresh blocks and routes the preheader
-// through the guard, leaving the rolled loop as the remainder.
+// FlatUnroll builds the guarded unrolled loop in function fi: it appends a
+// guard header (room for a full group?) and a body block holding factor
+// copies of the body and latch work, and routes the preheader through the
+// guard. The loop must be canonical, have a controlling test over a basic
+// IV, and have all IV updates in the latch. The rolled loop stays in place
+// as the remainder loop.
 func FlatUnroll(fp *rtl.FlatProgram, fi int, c FlatCanonical, info *iv.FlatInfo, factor int) error {
 	if factor < 2 {
 		return fmt.Errorf("unroll factor %d", factor)
@@ -135,10 +147,11 @@ func FlatUnroll(fp *rtl.FlatProgram, fi int, c FlatCanonical, info *iv.FlatInfo,
 	br.A, br.Target, br.Else = rtl.R(cond), ubody, c.Header
 	f.AppendInstr(uheader, add, cmp, br)
 
-	// Body: factor copies of (body work, latch work) with per-copy renaming
-	// of defined registers, then mov-backs of the renamed registers (see
-	// Unroll). Each copy is appended to the fresh block, the last one, and
-	// renamed in place.
+	// Body: factor copies of (body work, latch work), with per-copy
+	// renaming of defined registers so copies are independent for the
+	// scheduler; loop-carried registers are restored by mov-backs that the
+	// address folder and DCE later collapse. Each copy is appended to the
+	// fresh block, the last one, and renamed in place.
 	cur := make(map[rtl.Reg]rtl.Reg)
 	var renamed []rtl.Reg // in first-rename order
 	mapOp := func(o *rtl.Operand) {
@@ -188,7 +201,8 @@ func FlatUnroll(fp *rtl.FlatProgram, fi int, c FlatCanonical, info *iv.FlatInfo,
 	jmp.Target = uheader
 	f.AppendInstr(ubody, jmp)
 
-	// Route the preheader through the guard.
+	// Route the preheader through the guard; the rolled loop remains as
+	// the remainder, entered when fewer than `factor` iterations remain.
 	if pt, _, ok := f.TermIdx(c.Preheader); ok {
 		if f.Target[pt] == c.Header {
 			f.Target[pt] = uheader

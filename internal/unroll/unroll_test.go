@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"macc/internal/cfg"
-	"macc/internal/dataflow"
+	"macc/internal/flattest"
 	"macc/internal/iv"
 	"macc/internal/machine"
 	"macc/internal/opt"
@@ -44,27 +44,51 @@ func buildSumLoop() (*rtl.Fn, rtl.Reg) {
 	return f, acc
 }
 
-func shape(t *testing.T, f *rtl.Fn) (*cfg.Graph, *cfg.Loop, unroll.Canonical, *iv.Info) {
+// loop is the canonical loop of a flattened test function.
+type loop struct {
+	fp   *rtl.FlatProgram
+	c    unroll.FlatCanonical
+	info *iv.FlatInfo
+}
+
+func shape(t *testing.T, f *rtl.Fn) *loop {
 	t.Helper()
-	g := cfg.New(f)
+	fp := flattest.Flat(t, f)
+	g := cfg.NewFlat(fp, 0)
 	l := g.FindLoops()[0]
 	g.EnsurePreheader(l)
-	c, ok := unroll.Shape(l)
+	c, ok := unroll.FlatShape(&fp.Fns[0], l)
 	if !ok {
 		t.Fatal("loop not canonical")
 	}
-	du := dataflow.ComputeDefUse(f)
-	return g, l, c, iv.Analyze(g, l, du)
+	return &loop{fp: fp, c: c, info: iv.AnalyzeFlat(g, l)}
 }
+
+func (lp *loop) unroll(factor int) error { return unroll.FlatUnroll(lp.fp, 0, lp.c, lp.info, factor) }
+
+// cleanUp runs the unroll pass's tail (address normalization and a clean
+// sweep) and materializes the result.
+func (lp *loop) cleanUp(t *testing.T) *rtl.Fn {
+	t.Helper()
+	opt.FlatNormalizeAddresses(lp.fp, 0)
+	opt.FlatClean(lp.fp, 0)
+	if err := lp.fp.VerifyFn(0); err != nil {
+		t.Fatal(err)
+	}
+	return flattest.Unflatten(t, lp.fp).Fns[0]
+}
+
+func (lp *loop) name(bi int32) string { return lp.fp.SymName(lp.fp.Fns[0].Blocks[bi].Name) }
 
 func TestShapeRecognition(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, _ := shape(t, f)
-	if c.Header.Name != "header" || c.Body.Name != "body" || c.Latch.Name != "latch" {
-		t.Errorf("wrong decomposition: %s/%s/%s", c.Header, c.Body, c.Latch)
+	lp := shape(t, f)
+	c := lp.c
+	if lp.name(c.Header) != "header" || lp.name(c.Body) != "body" || lp.name(c.Latch) != "latch" {
+		t.Errorf("wrong decomposition: %s/%s/%s", lp.name(c.Header), lp.name(c.Body), lp.name(c.Latch))
 	}
-	if c.Exit.Name != "exit" {
-		t.Errorf("exit = %s", c.Exit)
+	if lp.name(c.Exit) != "exit" {
+		t.Errorf("exit = %s", lp.name(c.Exit))
 	}
 }
 
@@ -72,20 +96,11 @@ func TestUnrollSemantics(t *testing.T) {
 	for _, factor := range []int{2, 4, 8} {
 		for _, n := range []int64{0, 1, 3, 4, 7, 8, 9, 31, 32} {
 			f, _ := buildSumLoop()
-			_, _, c, info := shape(t, f)
-			u, err := unroll.Unroll(f, c, info, factor)
-			if err != nil {
+			lp := shape(t, f)
+			if err := lp.unroll(factor); err != nil {
 				t.Fatalf("factor %d: %v", factor, err)
 			}
-			if u.Factor != factor {
-				t.Errorf("factor = %d", u.Factor)
-			}
-			opt.NormalizeAddresses(f)
-			opt.Clean(f)
-			if err := f.Verify(); err != nil {
-				t.Fatalf("factor %d: %v", factor, err)
-			}
-			prog := rtl.NewProgram(f)
+			prog := rtl.NewProgram(lp.cleanUp(t))
 			s := sim.New(prog, machine.Alpha(), 1<<14)
 			var want int64
 			for i := int64(0); i < n; i++ {
@@ -104,17 +119,28 @@ func TestUnrollSemantics(t *testing.T) {
 	}
 }
 
+// block returns the block labelled name in f.
+func block(t *testing.T, f *rtl.Fn, name string) *rtl.Block {
+	t.Helper()
+	for _, b := range f.Blocks {
+		if b.Name == name {
+			return b
+		}
+	}
+	t.Fatalf("no block %q in\n%s", name, f)
+	return nil
+}
+
 func TestUnrollProducesDisplacements(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
-	u, err := unroll.Unroll(f, c, info, 4)
-	if err != nil {
+	lp := shape(t, f)
+	if err := lp.unroll(4); err != nil {
 		t.Fatal(err)
 	}
-	opt.NormalizeAddresses(f)
-	opt.Clean(f)
+	out := lp.cleanUp(t)
+	body := block(t, out, "body.unrolled")
 	var disps []int64
-	for _, in := range u.Body.Instrs {
+	for _, in := range body.Instrs {
 		if in.Op == rtl.Load {
 			disps = append(disps, in.Disp)
 		}
@@ -130,7 +156,7 @@ func TestUnrollProducesDisplacements(t *testing.T) {
 	}
 	// The pointer must advance once by 8.
 	bump := 0
-	for _, in := range u.Body.Instrs {
+	for _, in := range body.Instrs {
 		if in.Op == rtl.Add {
 			if r, ok := in.A.IsReg(); ok {
 				if d, okd := in.Def(); okd && d == r {
@@ -142,48 +168,51 @@ func TestUnrollProducesDisplacements(t *testing.T) {
 		}
 	}
 	if bump != 1 {
-		t.Errorf("expected exactly one folded pointer bump of 8, found %d\n%s", bump, f)
+		t.Errorf("expected exactly one folded pointer bump of 8, found %d\n%s", bump, out)
 	}
 }
 
 func TestUnrollRejectsNonStrictOrUncontrolled(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
-	info.Control.Op = rtl.SetLE
-	if _, err := unroll.Unroll(f, c, info, 4); err == nil {
+	lp := shape(t, f)
+	lp.info.Control.Op = rtl.SetLE
+	if err := lp.unroll(4); err == nil {
 		t.Error("non-strict test must be rejected")
 	}
 	f2, _ := buildSumLoop()
-	_, _, c2, info2 := shape(t, f2)
-	info2.Control = nil
-	if _, err := unroll.Unroll(f2, c2, info2, 4); err == nil {
+	lp2 := shape(t, f2)
+	lp2.info.Control = nil
+	if err := lp2.unroll(4); err == nil {
 		t.Error("loop without control must be rejected")
 	}
 }
 
 func TestChooseFactor(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
-	if got := unroll.ChooseFactor(machine.Alpha(), c, info); got != 4 {
+	lp := shape(t, f)
+	ff := &lp.fp.Fns[0]
+	if got := unroll.FlatChooseFactor(machine.Alpha(), ff, lp.c, lp.info); got != 4 {
 		t.Errorf("alpha factor for shorts = %d, want 4 (64-bit word)", got)
 	}
-	if got := unroll.ChooseFactor(machine.M88100(), c, info); got != 2 {
+	if got := unroll.FlatChooseFactor(machine.M88100(), ff, lp.c, lp.info); got != 2 {
 		t.Errorf("m88100 factor for shorts = %d, want 2 (32-bit word)", got)
 	}
 	// Without a control test unrolling is pointless.
-	info.Control = nil
-	if got := unroll.ChooseFactor(machine.Alpha(), c, info); got != 1 {
+	lp.info.Control = nil
+	if got := unroll.FlatChooseFactor(machine.Alpha(), ff, lp.c, lp.info); got != 1 {
 		t.Errorf("factor without control = %d, want 1", got)
 	}
 }
 
 func TestChooseFactorICacheCap(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
+	lp := shape(t, f)
+	ff := &lp.fp.Fns[0]
+	size := func(bi int32) int { return int(ff.Blocks[bi].InstrEnd - ff.Blocks[bi].InstrStart) }
 	m := machine.Alpha()
 	// Shrink the cache so factor 8 cannot fit but the rolled loop can.
-	m.ICacheBytes = (len(c.Header.Instrs) + 2*(len(c.Body.Instrs)+len(c.Latch.Instrs))) * m.BytesPerInstr
-	got := unroll.ChooseFactor(m, c, info)
+	m.ICacheBytes = (size(lp.c.Header) + 2*(size(lp.c.Body)+size(lp.c.Latch))) * m.BytesPerInstr
+	got := unroll.FlatChooseFactor(m, ff, lp.c, lp.info)
 	if got > 2 {
 		t.Errorf("factor %d exceeds the instruction cache heuristic", got)
 	}
@@ -191,17 +220,19 @@ func TestChooseFactorICacheCap(t *testing.T) {
 
 func TestUnrollKeepsRemainderLoop(t *testing.T) {
 	f, _ := buildSumLoop()
-	_, _, c, info := shape(t, f)
-	u, err := unroll.Unroll(f, c, info, 4)
-	if err != nil {
+	lp := shape(t, f)
+	if err := lp.unroll(4); err != nil {
 		t.Fatal(err)
 	}
+	out := flattest.Unflatten(t, lp.fp).Fns[0]
+	guard := block(t, out, "header.unrolled").Term()
+	header := block(t, out, "header")
 	// Guard's failure edge must lead to the original rolled header.
-	if u.Header.Term().Else != c.Header && u.Header.Term().Target != c.Header {
+	if guard.Else != header && guard.Target != header {
 		t.Error("guard does not fall back to the rolled loop")
 	}
 	// The preheader now enters the guard.
-	if c.Preheader.Term().Target != u.Header {
+	if block(t, out, "entry").Term().Target != block(t, out, "header.unrolled") {
 		t.Error("preheader does not enter the unrolled guard")
 	}
 }

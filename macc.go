@@ -65,8 +65,9 @@ type Config struct {
 	// therefore unscheduled, as in compilers that allocate late). Zero
 	// keeps virtual registers, modelling an unbounded file.
 	Registers int
-	// DumpStage, when non-nil, receives the RTL after each pipeline stage
-	// (stage name, function); used by cmd/macc -dump.
+	// DumpStage, when non-nil, receives the RTL after code generation and
+	// after each pipeline stage (stage name, function); used by cmd/macc
+	// -dump. The flat function is materialized only for this hook.
 	DumpStage func(stage string, f *rtl.Fn)
 	// Strict makes the first pass failure (panic, pass error, or verifier
 	// rejection of the pass's output) abort compilation with a
@@ -74,18 +75,10 @@ type Config struct {
 	// last-known-good form, records the incident in Program.Diagnostics,
 	// and continues with the remaining passes (degraded mode).
 	Strict bool
-	// GraphPipeline forces the optimizer to run on the pointer-graph IR for
-	// every pass. By default the cold path flattens the front end's output
-	// once and runs the pipeline natively on the struct-of-arrays form
-	// (only regalloc bridges through the graph, per function); the two modes
-	// produce byte-identical programs — this switch exists for differential
-	// testing and as an escape hatch. It never enters the cache fingerprint,
-	// because it cannot change the compiled output.
-	GraphPipeline bool
 	// WrapPass, when non-nil, wraps every optimization pass before it
 	// runs; fault injection (internal/faultinject) and tracing hook in
 	// here.
-	WrapPass func(pipeline.Pass) pipeline.Pass
+	WrapPass func(pipeline.FlatPass) pipeline.FlatPass
 	// Telemetry, when non-nil, receives the compile's observability
 	// stream: per-pass spans with IR deltas (exportable as a Chrome
 	// trace), optimization remarks from the coalescer, unroller, and
@@ -160,11 +153,11 @@ type Program struct {
 	RTL     *rtl.Program
 	Machine *machine.Machine
 	// Flat is the program's flat (struct-of-arrays) image when one is
-	// available — every cache-served program carries one, as does the cold
-	// compile that populated the cache. When set, NewSim predecodes from it
-	// directly (sim.NewFlat), skipping the pointer-graph walk; RTL is then
-	// a private materialized view of the same program. Nil for uncached
-	// compiles, whose RTL is the pipeline's live graph.
+	// available — every optimized compile and every cache-served program
+	// carries one. When set, NewSim predecodes from it directly
+	// (sim.NewFlat), and RTL is a private materialized view of the same
+	// program. Nil for uncached compiles without Optimize, whose RTL is the
+	// verified front-end output.
 	Flat *rtl.FlatProgram
 	// Reports holds one entry per loop the coalescer examined.
 	Reports []core.LoopReport
@@ -239,16 +232,8 @@ func CompileRTLCtx(ctx context.Context, rp *rtl.Program, cfg Config) (*Program, 
 func compileProgram(ctx context.Context, rp *rtl.Program, cfg Config) (*Program, error) {
 	p := newProgram(rp, cfg.Machine)
 	p.Telemetry = cfg.Telemetry
-	if cfg.useFlatPipeline() {
-		if err := p.optimizeFlat(rp, cfg); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, f := range rp.Fns {
-			if err := p.optimizeFn(f, cfg); err != nil {
-				return nil, fmt.Errorf("%s: %w", f.Name, err)
-			}
-		}
+	if err := p.optimize(rp, cfg); err != nil {
+		return nil, err
 	}
 	// Link the pipeline's per-pass spans under the request trace: children
 	// of whatever span context rode in on ctx (the singleflight compute
@@ -264,13 +249,6 @@ func compileProgram(ctx context.Context, rp *rtl.Program, cfg Config) (*Program,
 // their compiles must run the real pipeline every time.
 func (cfg Config) usesCache() bool {
 	return cfg.Cache != nil && cfg.DumpStage == nil && cfg.WrapPass == nil
-}
-
-// useFlatPipeline reports whether the cold path runs the optimizer natively
-// on the flat form. DumpStage and WrapPass observe pointer-graph functions
-// pass by pass, so their compiles keep the graph pipeline.
-func (cfg Config) useFlatPipeline() bool {
-	return cfg.Optimize && !cfg.GraphPipeline && cfg.DumpStage == nil && cfg.WrapPass == nil
 }
 
 // fingerprint renders every semantics-affecting Config field canonically;
@@ -334,10 +312,10 @@ func compileCached(ctx context.Context, keySrc string, cfg Config, cold func(con
 		}
 		// The cache owns its entry outright: the flat image is a snapshot,
 		// so no later mutation through the caller's pointer can poison it.
-		// A flat-pipeline compile already holds the final image — store it
-		// directly instead of re-flattening; otherwise a program the
-		// flattener rejects (it should not exist past the verifier) is
-		// simply not cached.
+		// An optimized compile already holds the final image — store it
+		// directly instead of re-flattening; otherwise (Optimize off) a
+		// program the flattener rejects (it should not exist past the
+		// verifier) is simply not cached.
 		if p.Flat != nil {
 			snap.Flat = p.Flat
 		} else if flat, ferr := rtl.Flatten(p.RTL); ferr == nil {
@@ -397,154 +375,6 @@ func newProgram(rp *rtl.Program, m *machine.Machine) *Program {
 		Diagnostics: &pipeline.Diagnostics{}}
 }
 
-func (p *Program) dump(cfg Config, stage string, f *rtl.Fn) {
-	if cfg.DumpStage != nil {
-		cfg.DumpStage(stage, f)
-	}
-}
-
-// optimizeFn runs the optimization pipeline over f under the hardened pass
-// manager: every stage gets panic recovery, a post-stage verification
-// checkpoint, and (in non-strict mode) rollback to the last-known-good
-// form with the incident recorded in p.Diagnostics.
-func (p *Program) optimizeFn(f *rtl.Fn, cfg Config) error {
-	p.dump(cfg, "codegen", f)
-	if err := f.Verify(); err != nil {
-		return err
-	}
-	if !cfg.Optimize {
-		return nil
-	}
-	passes := p.passList(cfg)
-	if cfg.WrapPass != nil {
-		for i := range passes {
-			passes[i] = cfg.WrapPass(passes[i])
-		}
-	}
-	return pipeline.Run(f, passes, pipeline.Options{
-		Strict:   cfg.Strict,
-		Diags:    p.Diagnostics,
-		Recorder: cfg.Telemetry,
-		OnPass:   func(stage string, f *rtl.Fn) { p.dump(cfg, stage, f) },
-	})
-}
-
-// passList builds the stage sequence for cfg. Side records (coalescing
-// reports, unroll factors) are staged inside each pass and committed by its
-// OnSuccess hook, so a rolled-back pass leaves no trace of undone work.
-func (p *Program) passList(cfg Config) []pipeline.Pass {
-	passes := []pipeline.Pass{
-		{Name: "clean", Run: func(f *rtl.Fn) error {
-			opt.Clean(f)
-			opt.ThreadJumps(f)
-			return nil
-		}},
-		// Loop-invariant code motion, innermost-first, iterated because
-		// hoisting can expose more loops' invariants.
-		{Name: "licm", Run: func(f *rtl.Fn) error {
-			runLICM(f)
-			return nil
-		}},
-		// Induction-variable strength reduction and test replacement:
-		// gives memory references the base+displacement shape and frees
-		// the counter.
-		{Name: "strength-reduce", Run: func(f *rtl.Fn) error {
-			runStrengthReduce(f, cfg.emitter())
-			return nil
-		}},
-	}
-	if cfg.Unroll {
-		var staged map[string]int
-		passes = append(passes, pipeline.Pass{
-			Name: "unroll",
-			Run: func(f *rtl.Fn) error {
-				staged = runUnrollLoops(cfg, f)
-				opt.NormalizeAddresses(f)
-				opt.Clean(f)
-				return nil
-			},
-			OnSuccess: func() {
-				for name, factor := range staged {
-					p.Unrolled[name] = factor
-				}
-			},
-		})
-	}
-	if cfg.Coalesce.Loads || cfg.Coalesce.Stores {
-		var staged []core.LoopReport
-		passes = append(passes, pipeline.Pass{
-			Name: "coalesce",
-			Run: func(f *rtl.Fn) error {
-				staged = core.CoalesceMemoryAccesses(f, cfg.Machine, cfg.Coalesce, cfg.emitter())
-				opt.Clean(f)
-				return nil
-			},
-			OnSuccess: func() { p.Reports = append(p.Reports, staged...) },
-		})
-	}
-	if cfg.Schedule {
-		passes = append(passes, pipeline.Pass{Name: "schedule", Run: func(f *rtl.Fn) error {
-			sched.ScheduleFn(f, cfg.Machine)
-			return nil
-		}})
-	}
-	if cfg.Registers > 0 {
-		passes = append(passes, pipeline.Pass{Name: "regalloc", Run: func(f *rtl.Fn) error {
-			_, err := regalloc.Run(f, cfg.Registers)
-			return err
-		}})
-	}
-	return passes
-}
-
-// runLICM is the graph body of the "licm" pass: hoist loop invariants,
-// innermost-first, iterated because hoisting can expose more loops'
-// invariants. It reports whether anything was hoisted. runLICMFlat is its
-// flat twin.
-func runLICM(f *rtl.Fn) bool {
-	hoisted := false
-	for i := 0; i < 4; i++ {
-		ensurePreheaders(f)
-		g := cfg2(f)
-		loops := g.FindLoops()
-		for _, l := range loops {
-			g.EnsurePreheader(l)
-		}
-		changed := false
-		for _, l := range loops {
-			changed = opt.HoistInvariants(f, g, l) || changed
-		}
-		if !changed {
-			break
-		}
-		hoisted = true
-		opt.Clean(f)
-	}
-	return hoisted
-}
-
-// runStrengthReduce is the graph body of the "strength-reduce" pass. It
-// reports whether it materialized a pointer induction variable or its
-// clean-up tail changed anything. runStrengthReduceFlat is its flat twin.
-func runStrengthReduce(f *rtl.Fn, em telemetry.Emitter) bool {
-	changed := false
-	ensurePreheaders(f)
-	g := cfg2(f)
-	loops := g.FindLoops()
-	for _, l := range loops {
-		g.EnsurePreheader(l)
-		du := dataflow.ComputeDefUse(f)
-		info := iv.Analyze(g, l, du)
-		em.Emit(info.Remark("strength-reduce", f.Name))
-		if ptrs := info.StrengthReduce(f); len(ptrs) > 0 {
-			emitStrengthReduced(em, f.Name, l.Header.Name, len(ptrs), info.ReplaceTest(f, ptrs))
-			changed = true
-		}
-	}
-	changed = opt.EliminateDeadIVs(f) || changed
-	return opt.Clean(f) || changed
-}
-
 // emitStrengthReduced records one loop's strength reduction.
 func emitStrengthReduced(em telemetry.Emitter, fn, loop string, ptrs int, replaced bool) {
 	em.Count("iv.pointers_strength_reduced", int64(ptrs))
@@ -558,42 +388,6 @@ func emitStrengthReduced(em telemetry.Emitter, fn, loop string, ptrs int, replac
 		rem.Args["test_replaced"] = 1
 	}
 	em.Emit(rem)
-}
-
-// runUnrollLoops is the loop-replication part of the graph "unroll" pass;
-// the caller finishes with address normalization and a clean sweep.
-// Returns the per-function factors to stage. runUnrollLoopsFlat is its
-// flat twin.
-func runUnrollLoops(cfg Config, f *rtl.Fn) map[string]int {
-	em := cfg.emitter()
-	staged := make(map[string]int)
-	ensurePreheaders(f)
-	g := cfg2(f)
-	for _, l := range g.FindLoops() {
-		g.EnsurePreheader(l)
-		c, ok := unroll.Shape(l)
-		if !ok {
-			emitNotUnrolled(em, f.Name, l.Header.Name, "shape:not-canonical")
-			continue
-		}
-		du := dataflow.ComputeDefUse(f)
-		info := iv.Analyze(g, l, du)
-		factor := cfg.UnrollFactor
-		if factor == 0 {
-			factor = unroll.ChooseFactor(cfg.Machine, c, info)
-		}
-		if factor < 2 {
-			emitNotUnrolled(em, f.Name, l.Header.Name, "heuristic:factor<2")
-			continue
-		}
-		if _, err := unroll.Unroll(f, c, info, factor); err == nil {
-			staged[f.Name] = factor
-			emitUnrolled(em, f.Name, l.Header.Name, factor)
-		} else {
-			emitNotUnrolled(em, f.Name, l.Header.Name, "shape:"+err.Error())
-		}
-	}
-	return staged
 }
 
 func emitNotUnrolled(em telemetry.Emitter, fn, loop, reason string) {
@@ -614,8 +408,9 @@ func emitUnrolled(em telemetry.Emitter, fn, loop string, factor int) {
 	})
 }
 
-// preheadedFlatGraph mirrors ensurePreheaders on function fi, then returns
-// a fresh graph of the result.
+// preheadedFlatGraph gives every natural loop of function fi a preheader,
+// then returns a fresh graph of the result, so later analyses see a stable
+// shape.
 func preheadedFlatGraph(fp *rtl.FlatProgram, fi int) *cfg.FlatGraph {
 	g := cfg.NewFlat(fp, fi)
 	for _, l := range g.FindLoops() {
@@ -624,7 +419,9 @@ func preheadedFlatGraph(fp *rtl.FlatProgram, fi int) *cfg.FlatGraph {
 	return cfg.NewFlat(fp, fi)
 }
 
-// runLICMFlat mirrors runLICM on function fi of the flat form.
+// runLICMFlat is the body of the "licm" pass: hoist loop invariants,
+// innermost-first, iterated because hoisting can expose more loops'
+// invariants. It reports whether anything was hoisted.
 func runLICMFlat(fp *rtl.FlatProgram, fi int) bool {
 	hoisted := false
 	for i := 0; i < 4; i++ {
@@ -646,7 +443,9 @@ func runLICMFlat(fp *rtl.FlatProgram, fi int) bool {
 	return hoisted
 }
 
-// runStrengthReduceFlat mirrors runStrengthReduce on the flat form.
+// runStrengthReduceFlat is the body of the "strength-reduce" pass. It
+// reports whether it materialized a pointer induction variable or its
+// clean-up tail changed anything.
 func runStrengthReduceFlat(fp *rtl.FlatProgram, fi int, em telemetry.Emitter) bool {
 	changed := false
 	g := preheadedFlatGraph(fp, fi)
@@ -666,7 +465,9 @@ func runStrengthReduceFlat(fp *rtl.FlatProgram, fi int, em telemetry.Emitter) bo
 	return opt.FlatClean(fp, fi) || changed
 }
 
-// runUnrollLoopsFlat mirrors runUnrollLoops on the flat form.
+// runUnrollLoopsFlat is the loop-replication part of the "unroll" pass;
+// the caller finishes with address normalization and a clean sweep.
+// Returns the per-function factors to stage.
 func runUnrollLoopsFlat(cfg Config, fp *rtl.FlatProgram, fi int) map[string]int {
 	em := cfg.emitter()
 	staged := make(map[string]int)
@@ -700,32 +501,31 @@ func runUnrollLoopsFlat(cfg Config, fp *rtl.FlatProgram, fi int) map[string]int 
 	return staged
 }
 
-// optimizeFlat is the flat-native cold path: verify every function (the same
-// codegen checkpoint the graph path runs), flatten the front end's output
-// once, run the pass pipeline on the struct-of-arrays form function by
-// function, and materialize the pointer graph once at the end. The input
-// program is left untouched; callers read the result through p.RTL, and the
-// final flat image rides along on p.Flat for the cache and the simulator.
-func (p *Program) optimizeFlat(rp *rtl.Program, cfg Config) error {
+// optimize runs the compile pipeline over the front end's output: verify
+// every function, and — with Optimize — flatten the program once, run the
+// pass pipeline on the struct-of-arrays form function by function, and
+// materialize the pointer graph once at the end. The input program is left
+// untouched; callers read the result through p.RTL, and the final flat
+// image rides along on p.Flat for the cache and the simulator. Without
+// Optimize the verified input itself is the result.
+func (p *Program) optimize(rp *rtl.Program, cfg Config) error {
 	for _, f := range rp.Fns {
+		if !cfg.Optimize && cfg.DumpStage != nil {
+			cfg.DumpStage("codegen", f)
+		}
 		if err := f.Verify(); err != nil {
 			return fmt.Errorf("%s: %w", f.Name, err)
 		}
+	}
+	if !cfg.Optimize {
+		return nil
 	}
 	fp, err := rtl.Flatten(rp)
 	if err != nil {
 		return err
 	}
-	passes := p.flatPassList(cfg)
-	opts := pipeline.Options{
-		Strict:   cfg.Strict,
-		Diags:    p.Diagnostics,
-		Recorder: cfg.Telemetry,
-	}
-	for fi := range fp.Fns {
-		if err := pipeline.RunFlat(fp, fi, passes, opts); err != nil {
-			return fmt.Errorf("%s: %w", fp.Syms[fp.Fns[fi].Name], err)
-		}
+	if err := p.runPipeline(fp, cfg); err != nil {
+		return err
 	}
 	out, err := fp.Unflatten()
 	if err != nil {
@@ -736,11 +536,40 @@ func (p *Program) optimizeFlat(rp *rtl.Program, cfg Config) error {
 	return nil
 }
 
+// runPipeline runs cfg's pass list over every function of fp under the
+// hardened pass manager: every stage gets panic recovery, a post-stage
+// verification checkpoint, and (in non-strict mode) rollback to the
+// last-known-good form with the incident recorded in p.Diagnostics.
+// DumpStage sees each function after code generation and after every
+// successful stage.
+func (p *Program) runPipeline(fp *rtl.FlatProgram, cfg Config) error {
+	opts := pipeline.Options{
+		Strict:   cfg.Strict,
+		Diags:    p.Diagnostics,
+		Recorder: cfg.Telemetry,
+	}
+	if cfg.DumpStage != nil {
+		opts.OnPass = func(stage string, fp *rtl.FlatProgram, fi int) {
+			cfg.DumpStage(stage, fp.UnflattenFn(fi))
+		}
+	}
+	passes := p.flatPassList(cfg)
+	for fi := range fp.Fns {
+		if opts.OnPass != nil {
+			opts.OnPass("codegen", fp, fi)
+		}
+		if err := pipeline.RunFlat(fp, fi, passes, opts); err != nil {
+			return fmt.Errorf("%s: %w", fp.Syms[fp.Fns[fi].Name], err)
+		}
+	}
+	return nil
+}
+
 // OptimizeFlat runs the optimization pipeline directly over an already-flat
 // program image — e.g. one decoded from a .bin emitted by cmd/macc — mutating
-// it in place, with no Unflatten/Materialize round trip of the whole program
-// (only regalloc, when enabled, bridges per function). The returned Program
-// carries the optimized image on Flat and a materialized view on RTL.
+// it in place, with no Unflatten/Materialize round trip of the whole program.
+// The returned Program carries the optimized image on Flat and a
+// materialized view on RTL.
 func OptimizeFlat(fp *rtl.FlatProgram, cfg Config) (*Program, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
@@ -748,19 +577,13 @@ func OptimizeFlat(fp *rtl.FlatProgram, cfg Config) (*Program, error) {
 	p := &Program{Machine: cfg.Machine, Unrolled: make(map[string]int),
 		Diagnostics: &pipeline.Diagnostics{}, Telemetry: cfg.Telemetry}
 	if cfg.Optimize {
-		passes := p.flatPassList(cfg)
-		opts := pipeline.Options{
-			Strict:   cfg.Strict,
-			Diags:    p.Diagnostics,
-			Recorder: cfg.Telemetry,
-		}
 		for fi := range fp.Fns {
 			if err := fp.VerifyFn(fi); err != nil {
 				return nil, fmt.Errorf("%s: %w", fp.Syms[fp.Fns[fi].Name], err)
 			}
-			if err := pipeline.RunFlat(fp, fi, passes, opts); err != nil {
-				return nil, fmt.Errorf("%s: %w", fp.Syms[fp.Fns[fi].Name], err)
-			}
+		}
+		if err := p.runPipeline(fp, cfg); err != nil {
+			return nil, err
 		}
 	}
 	rp, err := fp.Unflatten()
@@ -772,26 +595,10 @@ func OptimizeFlat(fp *rtl.FlatProgram, cfg Config) (*Program, error) {
 	return p, nil
 }
 
-// bridgeFlat adapts a graph pass body to the flat pipeline: materialize the
-// one function, run the graph body, and flatten the result back into the
-// same slot. Only regalloc, which no benchmark configuration enables, still
-// runs this way.
-func bridgeFlat(run func(f *rtl.Fn) error) func(fp *rtl.FlatProgram, fi int) error {
-	return func(fp *rtl.FlatProgram, fi int) error {
-		f := fp.UnflattenFn(fi)
-		if err := run(f); err != nil {
-			return err
-		}
-		return fp.FlattenFnInto(fi, f)
-	}
-}
-
-// flatPassList mirrors passList stage for stage on the flat form. Every
-// stage but regalloc runs natively on the arrays, and every clean-up tail
-// is FlatClean; regalloc bridges through the per-function graph round trip.
-// Stage names, ordering, staging, and OnSuccess commit semantics are
-// identical to the graph list, so telemetry spans, remarks, and incident
-// reports read the same whichever form ran.
+// flatPassList builds the stage sequence for cfg, each stage wrapped by
+// cfg.WrapPass when set. Side records (coalescing reports, unroll factors)
+// are staged inside each pass and committed by its OnSuccess hook, so a
+// rolled-back pass leaves no trace of undone work.
 func (p *Program) flatPassList(cfg Config) []pipeline.FlatPass {
 	passes := []pipeline.FlatPass{
 		{Name: "clean", Run: func(fp *rtl.FlatProgram, fi int) error {
@@ -799,10 +606,15 @@ func (p *Program) flatPassList(cfg Config) []pipeline.FlatPass {
 			opt.FlatThreadJumps(fp, fi)
 			return nil
 		}},
+		// Loop-invariant code motion, innermost-first, iterated because
+		// hoisting can expose more loops' invariants.
 		{Name: "licm", Run: func(fp *rtl.FlatProgram, fi int) error {
 			runLICMFlat(fp, fi)
 			return nil
 		}},
+		// Induction-variable strength reduction and test replacement:
+		// gives memory references the base+displacement shape and frees
+		// the counter.
 		{Name: "strength-reduce", Run: func(fp *rtl.FlatProgram, fi int) error {
 			runStrengthReduceFlat(fp, fi, cfg.emitter())
 			return nil
@@ -844,18 +656,22 @@ func (p *Program) flatPassList(cfg Config) []pipeline.FlatPass {
 		}})
 	}
 	if cfg.Registers > 0 {
-		passes = append(passes, pipeline.FlatPass{Name: "regalloc", Run: bridgeFlat(func(f *rtl.Fn) error {
-			_, err := regalloc.Run(f, cfg.Registers)
+		passes = append(passes, pipeline.FlatPass{Name: "regalloc", Run: func(fp *rtl.FlatProgram, fi int) error {
+			_, err := regalloc.RunFlat(fp, fi, cfg.Registers)
 			return err
-		})})
+		}})
+	}
+	if cfg.WrapPass != nil {
+		for i := range passes {
+			passes[i] = cfg.WrapPass(passes[i])
+		}
 	}
 	return passes
 }
 
 // Passes returns the names of the pipeline stages a compile under cfg runs,
-// in order (none without Optimize): the flat pass list, or the graph one
-// when cfg takes the graph pipeline. Both lists name the same stages, which
-// telemetry spans and remarks rely on.
+// in order (none without Optimize). Telemetry spans, remarks, and incident
+// reports name stages by these strings.
 func Passes(cfg Config) []string {
 	if !cfg.Optimize {
 		return nil
@@ -863,15 +679,8 @@ func Passes(cfg Config) []string {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
 	}
-	p := newProgram(rtl.NewProgram(), cfg.Machine)
 	var names []string
-	if cfg.useFlatPipeline() {
-		for _, ps := range p.flatPassList(cfg) {
-			names = append(names, ps.Name)
-		}
-		return names
-	}
-	for _, ps := range p.passList(cfg) {
+	for _, ps := range newProgram(nil, cfg.Machine).flatPassList(cfg) {
 		names = append(names, ps.Name)
 	}
 	return names
@@ -880,33 +689,29 @@ func Passes(cfg Config) []string {
 // Bisect binary-searches the optimization pipeline for the first pass that
 // breaks function name, in the style of LLVM's -opt-bisect-limit. rp must
 // be the *unoptimized* RTL program (front-end output, or Optimize: false);
-// each probe reruns a prefix of the pass list on a fresh clone of the
-// function and applies bad — typically DifferentialPredicate, which
-// compares simulator behaviour against the unoptimized build. The WrapPass
-// hook is honoured, so injected faults are attributed like real pass bugs.
+// each probe reruns a prefix of the pass list on a fresh flat image of rp
+// and applies bad — typically DifferentialPredicate, which compares
+// simulator behaviour against the unoptimized build. The WrapPass hook is
+// honoured, so injected faults are attributed like real pass bugs.
 func Bisect(rp *rtl.Program, name string, cfg Config, bad pipeline.Predicate) (pipeline.BisectResult, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
 	}
-	orig, ok := rp.Lookup(name)
-	if !ok {
-		return pipeline.BisectResult{}, fmt.Errorf("no function %q", name)
-	}
-	scratch := newProgram(rp, cfg.Machine)
-	passes := scratch.passList(cfg)
-	if cfg.WrapPass != nil {
-		for i := range passes {
-			passes[i] = cfg.WrapPass(passes[i])
+	for fi, f := range rp.Fns {
+		if f.Name == name {
+			passes := newProgram(rp, cfg.Machine).flatPassList(cfg)
+			return pipeline.Bisect(rp, fi, passes, bad)
 		}
 	}
-	return pipeline.Bisect(func() *rtl.Fn { return orig.Clone() }, passes, bad)
+	return pipeline.BisectResult{}, fmt.Errorf("no function %q", name)
 }
 
 // DifferentialPredicate builds a bisection predicate that flags behavioural
 // divergence: it fingerprints the unoptimized program's simulator behaviour
-// on the given argument sets, then judges a candidate function by running
-// it in place of the original within the same program. Verifier rejections
-// and simulator traps also count as failures.
+// on the given argument sets, then judges a probed flat image — function
+// name optimized by a pass prefix, the rest as the front end left them — by
+// the same fingerprint. Verifier rejections and simulator traps also count
+// as failures.
 func DifferentialPredicate(rp *rtl.Program, name string, cfg Config, memBytes int, argSets [][]int64) (pipeline.Predicate, error) {
 	if cfg.Machine == nil {
 		cfg.Machine = machine.Alpha()
@@ -915,21 +720,11 @@ func DifferentialPredicate(rp *rtl.Program, name string, cfg Config, memBytes in
 	if err != nil {
 		return nil, fmt.Errorf("reference run: %w", err)
 	}
-	return func(f *rtl.Fn) error {
-		if err := f.Verify(); err != nil {
+	return func(fp *rtl.FlatProgram, fi int) error {
+		if err := fp.VerifyFn(fi); err != nil {
 			return err
 		}
-		fns := make([]*rtl.Fn, len(rp.Fns))
-		for i, fn := range rp.Fns {
-			if fn.Name == name {
-				fns[i] = f
-			} else {
-				fns[i] = fn
-			}
-		}
-		cand := rtl.NewProgram(fns...)
-		cand.Globals = rp.Globals
-		got, err := pipeline.Behavior(cand, cfg.Machine, memBytes, name, argSets)
+		got, err := pipeline.BehaviorFlat(fp, cfg.Machine, memBytes, name, argSets)
 		if err != nil {
 			return err
 		}
@@ -940,19 +735,8 @@ func DifferentialPredicate(rp *rtl.Program, name string, cfg Config, memBytes in
 	}, nil
 }
 
-// ensurePreheaders materializes preheaders for every natural loop so later
-// analyses see a stable shape.
-func ensurePreheaders(f *rtl.Fn) {
-	g := cfg2(f)
-	for _, l := range g.FindLoops() {
-		g.EnsurePreheader(l)
-	}
-}
-
-func cfg2(f *rtl.Fn) *cfg.Graph { return cfg.New(f) }
-
 // NewSim builds a simulator for the compiled program with memBytes of RAM.
-// Programs carrying a flat image (flat-pipeline compiles, cache hits,
+// Programs carrying a flat image (optimized compiles, cache hits,
 // FromFlat) predecode from it directly; others are flattened first
 // (sim.New). When the program was compiled with a telemetry recorder, the
 // simulator publishes its dynamic counters into the same metrics registry.

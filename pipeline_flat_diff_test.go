@@ -1,14 +1,11 @@
 package macc_test
 
-// Differential tests for the flat pass pipeline: compiling with the default
-// flat-native cold path must be observably identical to forcing the
-// pointer-graph pipeline — byte-identical printed RTL, identical simulated
-// behaviour, and identical optimization decisions (coalescing reports and
-// unroll factors) — for every paper kernel under every config variant and
-// for a corpus of random generated programs.
+// Differential tests for the flat pass pipeline: an optimized compile must
+// behave like its references — the Go reference results for the paper
+// kernels, the unoptimized program for random generated ones — and its flat
+// image must reproduce the materialized program exactly.
 
 import (
-	"fmt"
 	"testing"
 
 	"macc"
@@ -22,7 +19,7 @@ import (
 )
 
 // flatDiffConfigs extends the cache differential matrix with variants that
-// exercise the bridged regalloc stage and strict mode on the flat path.
+// exercise the regalloc stage and strict mode.
 func flatDiffConfigs() map[string]macc.Config {
 	cfgs := diffConfigs()
 	ra := macc.DefaultConfig()
@@ -34,71 +31,43 @@ func flatDiffConfigs() map[string]macc.Config {
 	return cfgs
 }
 
-// diffReports fails if the two report slices disagree anywhere a decision
-// was made: same loops examined in the same order, same Applied verdicts,
-// same reasons, same wide/narrow counts — i.e. zero optreport flips.
-func diffReports(t *testing.T, name string, graph, flat *macc.Program) {
-	t.Helper()
-	if len(graph.Reports) != len(flat.Reports) {
-		t.Fatalf("%s: report count differs: graph %d vs flat %d",
-			name, len(graph.Reports), len(flat.Reports))
-	}
-	for i := range graph.Reports {
-		g, f := graph.Reports[i], flat.Reports[i]
-		if g != f {
-			t.Fatalf("%s: loop report %d differs:\ngraph %+v\nflat  %+v", name, i, g, f)
-		}
-	}
-	if len(graph.Unrolled) != len(flat.Unrolled) {
-		t.Fatalf("%s: unroll map size differs: %v vs %v", name, graph.Unrolled, flat.Unrolled)
-	}
-	for fn, factor := range graph.Unrolled {
-		if flat.Unrolled[fn] != factor {
-			t.Fatalf("%s: unroll factor for %s differs: graph %d vs flat %d",
-				name, fn, factor, flat.Unrolled[fn])
-		}
-	}
-}
-
 // TestFlatPipelineDifferentialKernels sweeps every paper kernel against
-// every config variant, compiled once through the flat pipeline (the
-// default) and once with GraphPipeline forced, and requires byte-identical
-// printed RTL, cycle-identical simulation, and identical optimization
-// decisions.
+// every config variant and checks the compile's two outputs against each
+// other and against the Go references: the flat image must survive a codec
+// round trip printing byte-identical RTL to the materialized program, and
+// a program loaded from the decoded image must compute the reference
+// results with the same cycles and memory references as the compile
+// itself. The printed RTL of every variant is pinned separately by
+// testdata/compile_golden.txt.
 func TestFlatPipelineDifferentialKernels(t *testing.T) {
 	for cfgName, cfg := range flatDiffConfigs() {
 		cfg := cfg
 		t.Run(cfgName, func(t *testing.T) {
 			for _, bm := range append(bench.Benchmarks(), bench.DotProduct()) {
-				flatCfg := cfg
-				flatCfg.GraphPipeline = false
-				flat, err := macc.Compile(bm.Src, flatCfg)
+				p, err := macc.Compile(bm.Src, cfg)
 				if err != nil {
-					t.Fatalf("%s: flat compile: %v", bm.Name, err)
+					t.Fatalf("%s: compile: %v", bm.Name, err)
 				}
-				if flat.Flat == nil {
-					t.Fatalf("%s: flat-pipeline compile carries no flat image", bm.Name)
+				if p.Flat == nil {
+					t.Fatalf("%s: optimized compile carries no flat image", bm.Name)
 				}
-				graphCfg := cfg
-				graphCfg.GraphPipeline = true
-				graph, err := macc.Compile(bm.Src, graphCfg)
+				dec, err := codec.DecodeProgram(codec.EncodeProgram(p.Flat))
 				if err != nil {
-					t.Fatalf("%s: graph compile: %v", bm.Name, err)
+					t.Fatalf("%s: codec round trip: %v", bm.Name, err)
 				}
-
-				gRTL, fRTL := graph.RTL.String(), flat.RTL.String()
-				if gRTL != fRTL {
-					t.Fatalf("%s: flat pipeline printed different RTL:\n--- graph ---\n%s\n--- flat ---\n%s",
-						bm.Name, gRTL, fRTL)
+				loaded, err := macc.FromFlat(dec, cfg.Machine)
+				if err != nil {
+					t.Fatalf("%s: load image: %v", bm.Name, err)
 				}
-				diffReports(t, bm.Name, graph, flat)
-
-				gRes, fRes := runBench(t, bm, graph), runBench(t, bm, flat)
-				if gRes.Ret != fRes.Ret || gRes.Cycles != fRes.Cycles ||
-					gRes.MemRefs() != fRes.MemRefs() {
+				if want, got := p.RTL.String(), loaded.RTL.String(); want != got {
+					t.Fatalf("%s: flat image prints different RTL:\n--- compile ---\n%s\n--- image ---\n%s",
+						bm.Name, want, got)
+				}
+				want, got := runBench(t, bm, p), runBench(t, bm, loaded)
+				if want.Ret != got.Ret || want.Cycles != got.Cycles || want.MemRefs() != got.MemRefs() {
 					t.Fatalf("%s: behaviour differs: ret %d/%d cycles %d/%d refs %d/%d",
-						bm.Name, gRes.Ret, fRes.Ret, gRes.Cycles, fRes.Cycles,
-						gRes.MemRefs(), fRes.MemRefs())
+						bm.Name, want.Ret, got.Ret, want.Cycles, got.Cycles,
+						want.MemRefs(), got.MemRefs())
 				}
 			}
 		})
@@ -106,8 +75,10 @@ func TestFlatPipelineDifferentialKernels(t *testing.T) {
 }
 
 // TestFlatPipelineDifferentialRandomRTL drives 200 random generated
-// programs through both pipelines and compares printed RTL plus the
-// behaviour fingerprint over several argument sets.
+// programs through the optimizer and compares the behaviour fingerprint
+// over several argument sets with the unoptimized program's. (Register
+// allocation is left out: its spill frame lies in the fingerprinted memory;
+// rtlgen's equivalence tests check it over the program's window.)
 func TestFlatPipelineDifferentialRandomRTL(t *testing.T) {
 	seeds := int64(200)
 	if testing.Short() {
@@ -115,46 +86,31 @@ func TestFlatPipelineDifferentialRandomRTL(t *testing.T) {
 	}
 	m := machine.Alpha()
 	argSets := [][]int64{{0, 0, 0}, {1, 2, 3}, {511, 1023, 7}}
+	cfg := macc.DefaultConfig()
+	cfg.Machine = m
 	for seed := int64(1); seed <= seeds; seed++ {
-		gen := func() *rtl.Program {
-			fn, err := rtlgen.Generate(seed, rtlgen.DefaultOptions())
-			if err != nil {
-				t.Fatalf("seed %d: generate: %v", seed, err)
-			}
-			return &rtl.Program{Fns: []*rtl.Fn{fn}}
-		}
-		cfg := macc.DefaultConfig()
-		cfg.Machine = m
-
-		flatCfg := cfg
-		flatCfg.GraphPipeline = false
-		flat, err := macc.CompileRTL(gen(), flatCfg)
+		fn, err := rtlgen.Generate(seed, rtlgen.DefaultOptions())
 		if err != nil {
-			t.Fatalf("seed %d: flat compile: %v", seed, err)
+			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		graphCfg := cfg
-		graphCfg.GraphPipeline = true
-		graph, err := macc.CompileRTL(gen(), graphCfg)
+		rp := rtl.NewProgram(fn)
+		want, err := pipeline.Behavior(rp, m, rtlgen.MemWindow*2, "f", argSets)
 		if err != nil {
-			t.Fatalf("seed %d: graph compile: %v", seed, err)
+			t.Fatalf("seed %d: unoptimized behaviour: %v", seed, err)
 		}
-
-		if got, want := flat.RTL.String(), graph.RTL.String(); got != want {
-			t.Fatalf("seed %d: flat pipeline printed different RTL:\n--- graph ---\n%s\n--- flat ---\n%s",
-				seed, want, got)
-		}
-		diffReports(t, fmt.Sprintf("seed %d", seed), graph, flat)
-
-		graphFP, err := pipeline.Behavior(graph.RTL, m, rtlgen.MemWindow*2, "f", argSets)
+		p, err := macc.CompileRTL(rp, cfg)
 		if err != nil {
-			t.Fatalf("seed %d: graph behaviour: %v", seed, err)
+			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
-		flatFP, err := pipeline.Behavior(flat.RTL, m, rtlgen.MemWindow*2, "f", argSets)
+		if p.Diagnostics.Degraded() {
+			t.Fatalf("seed %d: degraded: %s", seed, p.Diagnostics)
+		}
+		got, err := pipeline.Behavior(p.RTL, m, rtlgen.MemWindow*2, "f", argSets)
 		if err != nil {
-			t.Fatalf("seed %d: flat behaviour: %v", seed, err)
+			t.Fatalf("seed %d: optimized behaviour: %v", seed, err)
 		}
-		if graphFP != flatFP {
-			t.Fatalf("seed %d: behaviour fingerprint differs:\n%s\nvs\n%s", seed, graphFP, flatFP)
+		if got != want {
+			t.Fatalf("seed %d: behaviour fingerprint %s, unoptimized %s", seed, got, want)
 		}
 	}
 }

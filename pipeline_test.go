@@ -1,6 +1,7 @@
 package macc_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -176,5 +177,36 @@ func TestFigure1Structure(t *testing.T) {
 		if extracts[off] != 2 {
 			t.Errorf("offset %d extracted %d times, want 2", off, extracts[off])
 		}
+	}
+}
+
+// TestPassListsAgree pins Passes, the stage list a compile runs, for every
+// combination of optional stages: telemetry spans, remarks, and incident
+// reports name stages by these strings.
+func TestPassListsAgree(t *testing.T) {
+	for _, unrollOn := range []bool{false, true} {
+		for _, coalesce := range []bool{false, true} {
+			for _, schedule := range []bool{false, true} {
+				for _, regs := range []int{0, 16} {
+					cfg := macc.Config{Optimize: true, Unroll: unrollOn, Schedule: schedule, Registers: regs}
+					cfg.Coalesce.Loads = coalesce
+					want := []string{"clean", "licm", "strength-reduce"}
+					for _, stage := range []struct {
+						on   bool
+						name string
+					}{{unrollOn, "unroll"}, {coalesce, "coalesce"}, {schedule, "schedule"}, {regs > 0, "regalloc"}} {
+						if stage.on {
+							want = append(want, stage.name)
+						}
+					}
+					if got := macc.Passes(cfg); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%+v: Passes = %v, want %v", cfg, got, want)
+					}
+				}
+			}
+		}
+	}
+	if got := macc.Passes(macc.Config{}); got != nil {
+		t.Fatalf("Passes without Optimize = %v, want none", got)
 	}
 }
