@@ -9,18 +9,6 @@ import (
 	"macc/internal/rtl"
 )
 
-// baseRange summarizes the memory region one partition touches over the
-// whole loop: its pointer's entry value, per-iteration step, and the
-// displacement envelope of its references.
-type baseRange struct {
-	base     rtl.Reg
-	step     int64
-	minDisp  int64
-	maxDisp  int64
-	maxWidth int64
-	lo, hi   rtl.Operand // emitted bounds
-}
-
 // emitChecks generates the run-time alias and alignment tests into
 // preheader block ph of f (the paper's InsertAlignmentCheckInPreheader and
 // InsertAliasingChecksInPreheader). It returns the combined "all checks
@@ -33,19 +21,20 @@ type baseRange struct {
 // [pX+minD, pX+T*sX+maxD+w+|sX|) for forward motion (mirrored for
 // backward). Two ranges are safe when one ends before the other begins.
 // The over-approximation only ever sends execution to the safe loop.
-func emitChecks(f *rtl.FlatFn, ph int32, body []*rtl.Instr, m *machine.Machine,
+func emitChecks(f *rtl.FlatFn, ph int32, parts map[rtl.Reg]*partition, m *machine.Machine,
 	chunks []*chunk, info *iv.FlatInfo) (okCond rtl.Operand, nInstrs, nPairs, nAligns int, ok bool) {
 
-	// Check instructions are pure ALU ops (no control flow, no calls), so
-	// only the value fields transfer.
-	emit := func(in *rtl.Instr) {
-		fi := rtl.MkInstr(in.Op)
-		fi.Dst = in.Dst
-		fi.A = in.A
-		fi.B = in.B
-		fi.Signed = in.Signed
-		f.AppendInstr(ph, fi)
+	// Check instructions are pure ALU ops (no control flow, no calls):
+	// each defines a fresh register from two operands.
+	emit := func(op rtl.Op, signed bool, a, b rtl.Operand) rtl.Operand {
+		in := rtl.MkInstr(op)
+		in.Dst = f.NewReg()
+		in.A = a
+		in.B = b
+		in.Signed = signed
+		f.AppendInstr(ph, in)
 		nInstrs++
+		return rtl.R(in.Dst)
 	}
 
 	var acc rtl.Operand
@@ -54,9 +43,7 @@ func emitChecks(f *rtl.FlatFn, ph int32, body []*rtl.Instr, m *machine.Machine,
 			acc = cond
 			return
 		}
-		r := f.NewReg()
-		emit(rtl.BinI(rtl.And, r, acc, cond))
-		acc = rtl.R(r)
+		acc = emit(rtl.And, false, acc, cond)
 	}
 
 	// Alignment checks: ((base + minDisp) & (wide-1)) == 0, deduplicated.
@@ -76,15 +63,10 @@ func emitChecks(f *rtl.FlatFn, ph int32, body []*rtl.Instr, m *machine.Machine,
 			seen[k] = true
 			addr := rtl.R(c.part.base)
 			if c.minDisp != 0 {
-				t := f.NewReg()
-				emit(rtl.BinI(rtl.Add, t, addr, rtl.C(c.minDisp)))
-				addr = rtl.R(t)
+				addr = emit(rtl.Add, false, addr, rtl.C(c.minDisp))
 			}
-			masked := f.NewReg()
-			emit(rtl.BinI(rtl.And, masked, addr, rtl.C(int64(c.wide)-1)))
-			okA := f.NewReg()
-			emit(rtl.BinI(rtl.SetEQ, okA, rtl.R(masked), rtl.C(0)))
-			combine(rtl.R(okA))
+			masked := emit(rtl.And, false, addr, rtl.C(int64(c.wide)-1))
+			combine(emit(rtl.SetEQ, false, masked, rtl.C(0)))
 			nAligns++
 		}
 	}
@@ -112,73 +94,56 @@ func emitChecks(f *rtl.FlatFn, ph int32, body []*rtl.Instr, m *machine.Machine,
 		}
 		// T = (bound - iv) / |step|  (signed; a non-positive result means
 		// the loop will not run, and the guard prevents entry anyway).
-		diff := f.NewReg()
+		var diff rtl.Operand
 		if ctlStep > 0 {
-			emit(rtl.BinI(rtl.Sub, diff, bound, rtl.R(ctlIV)))
+			diff = emit(rtl.Sub, false, bound, rtl.R(ctlIV))
 		} else {
-			emit(rtl.BinI(rtl.Sub, diff, rtl.R(ctlIV), bound))
+			diff = emit(rtl.Sub, false, rtl.R(ctlIV), bound)
 		}
 		abs := ctlStep
 		if abs < 0 {
 			abs = -abs
 		}
-		trips := f.NewReg()
+		var trips rtl.Operand
 		if abs&(abs-1) == 0 {
-			emit(rtl.SBinI(rtl.Shr, trips, rtl.R(diff), rtl.C(int64(bits.TrailingZeros64(uint64(abs))))))
+			trips = emit(rtl.Shr, true, diff, rtl.C(int64(bits.TrailingZeros64(uint64(abs)))))
 		} else {
-			emit(rtl.SBinI(rtl.Div, trips, rtl.R(diff), rtl.C(abs)))
+			trips = emit(rtl.Div, true, diff, rtl.C(abs))
 		}
 
-		ranges := make(map[rtl.Reg]*baseRange)
-		boundsOf := func(base rtl.Reg) *baseRange {
+		// Each partition's swept range [lo, hi), emitted once per base from
+		// the envelope classifyPartitions recorded.
+		type sweep struct{ lo, hi rtl.Operand }
+		ranges := make(map[rtl.Reg]sweep)
+		boundsOf := func(base rtl.Reg) sweep {
 			if r, ok := ranges[base]; ok {
 				return r
 			}
-			r := rangeForBase(base, body, info)
+			p, b := parts[base], rtl.R(base)
 			// delta = T * step
-			var delta rtl.Operand
-			if r.step != 0 {
-				d := f.NewReg()
-				emit(rtl.BinI(rtl.Mul, d, rtl.R(trips), rtl.C(r.step)))
-				delta = rtl.R(d)
-			} else {
-				delta = rtl.C(0)
+			delta := rtl.C(0)
+			if p.step != 0 {
+				delta = emit(rtl.Mul, false, trips, rtl.C(p.step))
 			}
 			// With T iterations the last access of a forward partition is
 			// at base+(T-1)*step+maxDisp and touches maxWidth bytes; since
 			// displacements stay below one step, base+T*step bounds it
 			// exactly, keeping adjacent arrays distinguishable (the
 			// paper's own check is the exact "b + n <= a" form).
+			var r sweep
 			switch {
-			case r.step > 0:
-				lo := f.NewReg()
-				emit(rtl.BinI(rtl.Add, lo, rtl.R(base), rtl.C(r.minDisp)))
-				extra := r.maxDisp + r.maxWidth - r.step
-				if extra < 0 {
-					extra = 0
+			case p.step > 0:
+				r.lo = emit(rtl.Add, false, b, rtl.C(p.minDisp))
+				r.hi = emit(rtl.Add, false, b, delta)
+				if extra := p.maxDisp + p.maxWidth - p.step; extra > 0 {
+					r.hi = emit(rtl.Add, false, r.hi, rtl.C(extra))
 				}
-				h1 := f.NewReg()
-				emit(rtl.BinI(rtl.Add, h1, rtl.R(base), delta))
-				hi := h1
-				if extra != 0 {
-					hi = f.NewReg()
-					emit(rtl.BinI(rtl.Add, hi, rtl.R(h1), rtl.C(extra)))
-				}
-				r.lo, r.hi = rtl.R(lo), rtl.R(hi)
-			case r.step < 0:
-				l1 := f.NewReg()
-				emit(rtl.BinI(rtl.Add, l1, rtl.R(base), delta))
-				lo := f.NewReg()
-				emit(rtl.BinI(rtl.Add, lo, rtl.R(l1), rtl.C(r.minDisp)))
-				hi := f.NewReg()
-				emit(rtl.BinI(rtl.Add, hi, rtl.R(base), rtl.C(r.maxDisp+r.maxWidth)))
-				r.lo, r.hi = rtl.R(lo), rtl.R(hi)
+			case p.step < 0:
+				r.lo = emit(rtl.Add, false, emit(rtl.Add, false, b, delta), rtl.C(p.minDisp))
+				r.hi = emit(rtl.Add, false, b, rtl.C(p.maxDisp+p.maxWidth))
 			default:
-				lo := f.NewReg()
-				emit(rtl.BinI(rtl.Add, lo, rtl.R(base), rtl.C(r.minDisp)))
-				hi := f.NewReg()
-				emit(rtl.BinI(rtl.Add, hi, rtl.R(base), rtl.C(r.maxDisp+r.maxWidth)))
-				r.lo, r.hi = rtl.R(lo), rtl.R(hi)
+				r.lo = emit(rtl.Add, false, b, rtl.C(p.minDisp))
+				r.hi = emit(rtl.Add, false, b, rtl.C(p.maxDisp+p.maxWidth))
 			}
 			ranges[base] = r
 			return r
@@ -196,50 +161,11 @@ func emitChecks(f *rtl.FlatFn, ph int32, body []*rtl.Instr, m *machine.Machine,
 		})
 		for _, k := range keys {
 			ra, rb := boundsOf(k.a), boundsOf(k.b)
-			c1 := f.NewReg()
-			emit(rtl.SBinI(rtl.SetLE, c1, ra.hi, rb.lo))
-			c2 := f.NewReg()
-			emit(rtl.SBinI(rtl.SetLE, c2, rb.hi, ra.lo))
-			okp := f.NewReg()
-			emit(rtl.BinI(rtl.Or, okp, rtl.R(c1), rtl.R(c2)))
-			combine(rtl.R(okp))
+			c1 := emit(rtl.SetLE, true, ra.hi, rb.lo)
+			c2 := emit(rtl.SetLE, true, rb.hi, ra.lo)
+			combine(emit(rtl.Or, false, c1, c2))
 			nPairs++
 		}
 	}
 	return acc, nInstrs, nPairs, nAligns, true
-}
-
-// rangeForBase computes the displacement envelope of every reference off
-// base inside the body, and its per-iteration step.
-func rangeForBase(base rtl.Reg, body []*rtl.Instr, info *iv.FlatInfo) *baseRange {
-	r := &baseRange{base: base}
-	if step, isIV := ivStep(info, base); isIV {
-		r.step = step
-	}
-	first := true
-	for _, in := range body {
-		if !in.IsMem() {
-			continue
-		}
-		if b, ok := in.A.IsReg(); !ok || b != base {
-			continue
-		}
-		if first {
-			r.minDisp, r.maxDisp = in.Disp, in.Disp
-			first = false
-		}
-		if in.Disp < r.minDisp {
-			r.minDisp = in.Disp
-		}
-		if in.Disp > r.maxDisp {
-			r.maxDisp = in.Disp
-		}
-		if int64(in.Width) > r.maxWidth {
-			r.maxWidth = int64(in.Width)
-		}
-	}
-	if r.maxWidth == 0 {
-		r.maxWidth = 8
-	}
-	return r
 }

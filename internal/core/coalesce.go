@@ -12,9 +12,9 @@
 // The procedure names follow the paper: CoalesceMemoryAccessesFlat is the
 // Figure 2 driver; classifyPartitions is
 // ClassifyMemoryReferencesIntoPartitions; IsHazard is Figure 4's safety
-// walk; doProfitabilityAnalysisAndModifyFlat is Figure 3. The driver runs
-// on rtl.FlatProgram; the read-only analyses (classification, hazard walk,
-// check ranges) work on a decoded view of the loop's body block.
+// walk; doProfitabilityAnalysisAndModifyFlat is Figure 3. Everything runs
+// on rtl.FlatProgram: the read-only analyses (classification, hazard walk)
+// address the loop's body block by block-relative instruction index.
 package core
 
 import (
@@ -74,11 +74,13 @@ func ivStep(info *iv.FlatInfo, r rtl.Reg) (int64, bool) {
 	return 0, false
 }
 
-// ref is one narrow memory reference inside the loop body.
+// ref is one narrow memory reference inside the loop body. Its other
+// fields are read from the body block at index, which no step rewrites:
+// the wide references go into a copy of the loop.
 type ref struct {
-	in    *rtl.Instr
-	index int // position within the body block
+	index int32 // position within the body block
 	disp  int64
+	width rtl.Width
 }
 
 // partition groups the references that share a base register, the paper's
@@ -160,14 +162,14 @@ func emitLoopRemark(em telemetry.Emitter, rep *LoopReport) {
 // restriction on alias checking. Each rejection is surfaced as an Analysis
 // remark and a counter, so Table-IV-style "why not" questions have answers.
 // On an empty result rep.Reason carries the first rejection.
-func filterChunks(body []*rtl.Instr, chunks []*chunk, parts map[rtl.Reg]*partition,
+func filterChunks(f *rtl.FlatFn, bodyBi int32, chunks []*chunk, parts map[rtl.Reg]*partition,
 	info *iv.FlatInfo, m *machine.Machine, opts Options, em telemetry.Emitter,
 	rep *LoopReport) []*chunk {
 
 	var safe []*chunk
 	firstReject := ""
 	for _, c := range chunks {
-		hz, verdict := IsHazard(body, c, parts, info)
+		hz, verdict := IsHazard(f, bodyBi, c, parts)
 		reason := "hazard:" + verdict
 		switch {
 		case hz == hazardUnsafe:
@@ -255,13 +257,14 @@ func finishReport(em telemetry.Emitter, rep *LoopReport, opts Options) {
 // Only bases that are loop invariant or basic induction variables qualify;
 // anything else cannot be described relative to the induction variable and
 // is unsafe to coalesce (CalculateRelativeOffsets failing in the paper).
-func classifyPartitions(body []*rtl.Instr, info *iv.FlatInfo) map[rtl.Reg]*partition {
+func classifyPartitions(f *rtl.FlatFn, bodyBi int32, info *iv.FlatInfo) map[rtl.Reg]*partition {
 	parts := make(map[rtl.Reg]*partition)
-	for i, in := range body {
-		if !in.IsMem() {
+	b := &f.Blocks[bodyBi]
+	for i := b.InstrStart; i < b.InstrEnd; i++ {
+		if !f.IsMem(i) {
 			continue
 		}
-		base, ok := in.A.IsReg()
+		base, ok := f.A[i].IsReg()
 		if !ok {
 			continue
 		}
@@ -269,26 +272,21 @@ func classifyPartitions(body []*rtl.Instr, info *iv.FlatInfo) map[rtl.Reg]*parti
 		if !isIV && !info.Invariant(base) {
 			continue
 		}
+		disp, w := f.Disp[i], f.Width[i]
 		p := parts[base]
 		if p == nil {
-			p = &partition{base: base, step: step, minDisp: in.Disp, maxDisp: in.Disp}
+			p = &partition{base: base, step: step, minDisp: disp, maxDisp: disp}
 			parts[base] = p
 		}
-		r := ref{in: in, index: i, disp: in.Disp}
-		if in.Op == rtl.Load {
+		r := ref{index: i - b.InstrStart, disp: disp, width: w}
+		if f.Op[i] == rtl.Load {
 			p.loads = append(p.loads, r)
 		} else {
 			p.stores = append(p.stores, r)
 		}
-		if in.Disp < p.minDisp {
-			p.minDisp = in.Disp
-		}
-		if in.Disp > p.maxDisp {
-			p.maxDisp = in.Disp
-		}
-		if int64(in.Width) > p.maxWidth {
-			p.maxWidth = int64(in.Width)
-		}
+		p.minDisp = min(p.minDisp, disp)
+		p.maxDisp = max(p.maxDisp, disp)
+		p.maxWidth = max(p.maxWidth, int64(w))
 	}
 	return parts
 }
@@ -328,10 +326,10 @@ func chunkRefs(p *partition, refs []ref, isLoad bool, m *machine.Machine) []*chu
 	// that reuse is precisely the redundancy the paper's Figure 1 removes.
 	byWidth := make(map[rtl.Width]map[int64][]ref)
 	for _, r := range refs {
-		m := byWidth[r.in.Width]
+		m := byWidth[r.width]
 		if m == nil {
 			m = make(map[int64][]ref)
-			byWidth[r.in.Width] = m
+			byWidth[r.width] = m
 		}
 		m[r.disp] = append(m[r.disp], r)
 	}
@@ -401,24 +399,20 @@ func cutRun(p *partition, run []dispSlot, isLoad bool, w rtl.Width, m *machine.M
 }
 
 // firstIndex and lastIndex give the chunk's extent in program order.
-func (c *chunk) firstIndex() int {
-	min := c.refs[0].index
+func (c *chunk) firstIndex() int32 {
+	lo := c.refs[0].index
 	for _, r := range c.refs {
-		if r.index < min {
-			min = r.index
-		}
+		lo = min(lo, r.index)
 	}
-	return min
+	return lo
 }
 
-func (c *chunk) lastIndex() int {
-	max := c.refs[0].index
+func (c *chunk) lastIndex() int32 {
+	hi := c.refs[0].index
 	for _, r := range c.refs {
-		if r.index > max {
-			max = r.index
-		}
+		hi = max(hi, r.index)
 	}
-	return max
+	return hi
 }
 
 func (c *chunk) String() string {

@@ -60,36 +60,6 @@ func flatBodyBlock(f *rtl.FlatFn, l *cfg.FlatLoop) (int32, string) {
 	return body, ""
 }
 
-// decodeFlatBlock materializes block bi as instruction views for the
-// read-only analyses (classification, hazard walk, check ranges). The
-// decoded values are snapshots: later preheader emission moves absolute
-// instruction offsets but never changes the body's content.
-func decodeFlatBlock(fp *rtl.FlatProgram, f *rtl.FlatFn, bi int32) []*rtl.Instr {
-	b := &f.Blocks[bi]
-	n := int(b.InstrEnd - b.InstrStart)
-	slab := make([]rtl.Instr, n)
-	views := make([]*rtl.Instr, n)
-	for j := 0; j < n; j++ {
-		i := b.InstrStart + int32(j)
-		in := &slab[j]
-		in.Op = f.Op[i]
-		in.Dst = f.Dst[i]
-		in.A = f.A[i]
-		in.B = f.B[i]
-		in.C = f.C[i]
-		in.Width = f.Width[i]
-		in.Signed = f.Signed[i]
-		in.Disp = f.Disp[i]
-		if ci := f.CallIdx[i]; ci >= 0 {
-			c := &f.Calls[ci]
-			in.Callee = fp.Syms[c.Callee]
-			in.Args = f.Args[c.ArgStart:c.ArgEnd]
-		}
-		views[j] = in
-	}
-	return views
-}
-
 func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.FlatLoop,
 	m *machine.Machine, opts Options, em telemetry.Emitter) *LoopReport {
 
@@ -111,8 +81,7 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 	}
 	info := iv.AnalyzeFlat(g, l)
 
-	body := decodeFlatBlock(fp, f, bodyBi)
-	parts := classifyPartitions(body, info)
+	parts := classifyPartitions(f, bodyBi, info)
 	if len(parts) == 0 {
 		rep.Reason = "partition:no-analyzable-bases"
 		return rep
@@ -122,7 +91,7 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 		rep.Reason = "partition:no-consecutive-runs"
 		return rep
 	}
-	safe := filterChunks(body, chunks, parts, info, m, opts, em, rep)
+	safe := filterChunks(f, bodyBi, chunks, parts, info, m, opts, em, rep)
 	if len(safe) == 0 {
 		return rep
 	}
@@ -130,7 +99,7 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 	if l.Preheader < 0 {
 		g.EnsurePreheader(l)
 	}
-	rep.Applied = doProfitabilityAnalysisAndModifyFlat(fp, fi, g, l, bodyBi, body, m, opts, safe, rep)
+	rep.Applied = doProfitabilityAnalysisAndModifyFlat(fp, fi, g, l, bodyBi, parts, m, opts, safe, rep)
 	finishReport(em, rep, opts)
 	return rep
 }
@@ -142,7 +111,7 @@ func coalesceLoopFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.Flat
 // that select between the coalesced copy and the original safe loop at run
 // time (Figure 5's flow graph).
 func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph,
-	l *cfg.FlatLoop, bodyBi int32, body []*rtl.Instr, m *machine.Machine, opts Options,
+	l *cfg.FlatLoop, bodyBi int32, parts map[rtl.Reg]*partition, m *machine.Machine, opts Options,
 	chunks []*chunk, rep *LoopReport) bool {
 
 	f := &fp.Fns[fi]
@@ -167,7 +136,7 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 	bodyCopy := cmap[bodyBi]
 
 	// InsertWideReferences on the copy.
-	applyChunksFlat(f, bodyCopy, chunks, rep)
+	applyChunksFlat(f, bodyBi, bodyCopy, chunks, rep)
 
 	// Schedule both loops and compare.
 	var sc sched.FlatScratch
@@ -179,7 +148,7 @@ func doProfitabilityAnalysisAndModifyFlat(fp *rtl.FlatProgram, fi int, g *cfg.Fl
 	}
 
 	info := reanalyzeFlat(fp, fi, g, l)
-	okCond, nInstrs, nPairs, nAligns, ok := emitChecks(f, l.Preheader, body, m, chunks, info)
+	okCond, nInstrs, nPairs, nAligns, ok := emitChecks(f, l.Preheader, parts, m, chunks, info)
 	if !ok {
 		f.TruncateBlocks(nBlocks)
 		rep.Reason = "checks:ungeneratable"
@@ -229,17 +198,16 @@ func reanalyzeFlat(fp *rtl.FlatProgram, fi int, g *cfg.FlatGraph, l *cfg.FlatLoo
 // by a wide load placed before the first of the group; narrow stores become
 // an insert chain completed by a wide store after the last of the group. The
 // refs' indices are block-relative positions recorded on the original body,
-// valid in the copy because replication preserves layout; reads of the
-// replaced instructions' fields come from the decoded snapshot (identical to
-// the copy's content until the rewrite).
-func applyChunksFlat(f *rtl.FlatFn, bodyCopy int32, chunks []*chunk, rep *LoopReport) {
+// valid in the copy because replication preserves layout; the replaced
+// instructions' fields are read from the original body, which stays intact.
+func applyChunksFlat(f *rtl.FlatFn, bodyBi, bodyCopy int32, chunks []*chunk, rep *LoopReport) {
 	type insertion struct {
-		pos   int // index in the original instruction numbering
+		pos   int32 // index in the original instruction numbering
 		after bool
 		in    rtl.FlatInstr
 	}
 	var insertions []insertion
-	start := f.Blocks[bodyCopy].InstrStart
+	orig, start := f.Blocks[bodyBi].InstrStart, f.Blocks[bodyCopy].InstrStart
 
 	for _, c := range chunks {
 		base := rtl.R(c.part.base)
@@ -252,14 +220,13 @@ func applyChunksFlat(f *rtl.FlatFn, bodyCopy int32, chunks []*chunk, rep *LoopRe
 			wl.Width = c.wide
 			insertions = append(insertions, insertion{pos: c.firstIndex(), in: wl})
 			for _, r := range c.refs {
-				off := r.disp - c.minDisp
 				ex := rtl.MkInstr(rtl.Extract)
-				ex.Dst = r.in.Dst
+				ex.Dst = f.Dst[orig+r.index]
 				ex.A = rtl.R(wideReg)
-				ex.B = rtl.C(off)
+				ex.B = rtl.C(r.disp - c.minDisp)
 				ex.Width = c.width
-				ex.Signed = r.in.Signed
-				f.SetInstr(start+int32(r.index), ex)
+				ex.Signed = f.Signed[orig+r.index]
+				f.SetInstr(start+r.index, ex)
 			}
 			rep.WideLoads++
 			rep.NarrowLoads += len(c.refs)
@@ -270,16 +237,14 @@ func applyChunksFlat(f *rtl.FlatFn, bodyCopy int32, chunks []*chunk, rep *LoopRe
 			sort.Slice(ordered, func(i, j int) bool { return ordered[i].index < ordered[j].index })
 			cur := rtl.Operand{Kind: rtl.KindConst, Const: 0}
 			for _, r := range ordered {
-				val := r.in.B
-				off := r.disp - c.minDisp
 				nr := f.NewReg()
 				ii := rtl.MkInstr(rtl.Insert)
 				ii.Dst = nr
 				ii.A = cur
-				ii.B = val
-				ii.C = rtl.C(off)
+				ii.B = f.B[orig+r.index]
+				ii.C = rtl.C(r.disp - c.minDisp)
 				ii.Width = c.width
-				f.SetInstr(start+int32(r.index), ii)
+				f.SetInstr(start+r.index, ii)
 				cur = rtl.R(nr)
 			}
 			ws := rtl.MkInstr(rtl.Store)
@@ -304,7 +269,7 @@ func applyChunksFlat(f *rtl.FlatFn, bodyCopy int32, chunks []*chunk, rep *LoopRe
 		return insertions[i].after && !insertions[j].after
 	})
 	for _, ins := range insertions {
-		at := int32(ins.pos)
+		at := ins.pos
 		if ins.after {
 			at++
 		}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"macc/internal/iv"
-	"macc/internal/rtl"
-)
+import "macc/internal/rtl"
 
 // hazardResult classifies a chunk after the Figure 4 safety walk.
 type hazardResult uint8
@@ -37,54 +34,45 @@ const (
 // filled), or hazardUnsafe; the second return is the machine-readable
 // verdict token ("intervening-store", "unknown-base", ...) that feeds the
 // optimization remark for the rejection.
-func IsHazard(body []*rtl.Instr, c *chunk, parts map[rtl.Reg]*partition, info *iv.FlatInfo) (hazardResult, string) {
+func IsHazard(f *rtl.FlatFn, bodyBi int32, c *chunk, parts map[rtl.Reg]*partition) (hazardResult, string) {
 	lo, hi := c.firstIndex(), c.lastIndex()
-	inChunk := make(map[*rtl.Instr]bool, len(c.refs))
+	inChunk := make([]bool, hi-lo+1)
 	for _, r := range c.refs {
-		inChunk[r.in] = true
+		inChunk[r.index-lo] = true
 	}
 	rangeLo, rangeHi := c.minDisp, c.minDisp+int64(c.wide)
 	result := hazardSafe
 
-	for i := lo; i <= hi; i++ {
-		in := body[i]
-		if inChunk[in] {
+	start := f.Blocks[bodyBi].InstrStart
+	for j := lo; j <= hi; j++ {
+		if inChunk[j-lo] {
 			continue
 		}
-		switch in.Op {
+		i := start + j
+		switch op := f.Op[i]; op {
 		case rtl.Call:
 			return hazardUnsafe, "intervening-call"
-		case rtl.Load:
-			if c.isLoad {
+		case rtl.Load, rtl.Store:
+			if op == rtl.Load && c.isLoad {
 				continue // loads never conflict with a wide load
 			}
-			base, ok := in.A.IsReg()
+			base, ok := f.A[i].IsReg()
 			if !ok {
 				return hazardUnsafe, "unknown-base"
 			}
 			if base == c.part.base {
 				// Same partition: exact displacement disambiguation.
-				if in.Disp < rangeHi && in.Disp+int64(in.Width) > rangeLo {
-					return hazardUnsafe, "intervening-load"
-				}
-			} else {
-				if !knownPartition(base, parts, info) {
-					return hazardUnsafe, "unknown-base"
-				}
-				c.needsAliasCheck[base] = true
-				result = hazardNeedsChecks
-			}
-		case rtl.Store:
-			base, ok := in.A.IsReg()
-			if !ok {
-				return hazardUnsafe, "unknown-base"
-			}
-			if base == c.part.base {
-				if in.Disp < rangeHi && in.Disp+int64(in.Width) > rangeLo {
+				if f.Disp[i] < rangeHi && f.Disp[i]+int64(f.Width[i]) > rangeLo {
+					if op == rtl.Load {
+						return hazardUnsafe, "intervening-load"
+					}
 					return hazardUnsafe, "intervening-store"
 				}
 			} else {
-				if !knownPartition(base, parts, info) {
+				// Run-time range checks need the other base analyzable too:
+				// classifyPartitions gave every such base in the body a
+				// partition.
+				if parts[base] == nil {
 					return hazardUnsafe, "unknown-base"
 				}
 				c.needsAliasCheck[base] = true
@@ -93,7 +81,7 @@ func IsHazard(body []*rtl.Instr, c *chunk, parts map[rtl.Reg]*partition, info *i
 		default:
 			// IsModifiedBase: redefining the base register inside the span
 			// breaks the displacement arithmetic.
-			if d, ok := in.Def(); ok && d == c.part.base {
+			if d, ok := f.Def(i); ok && d == c.part.base {
 				return hazardUnsafe, "base-modified"
 			}
 		}
@@ -106,18 +94,4 @@ func IsHazard(body []*rtl.Instr, c *chunk, parts map[rtl.Reg]*partition, info *i
 		return result, "alias-needs-runtime-check"
 	}
 	return result, "safe"
-}
-
-// knownPartition reports whether the base register belongs to an analyzable
-// partition (invariant or basic IV), i.e. run-time range checks can be
-// generated for it.
-func knownPartition(base rtl.Reg, parts map[rtl.Reg]*partition, info *iv.FlatInfo) bool {
-	if _, ok := parts[base]; ok {
-		return true
-	}
-	if info.Invariant(base) {
-		return true
-	}
-	_, isIV := ivStep(info, base)
-	return isIV
 }

@@ -277,17 +277,19 @@ func TestReplaceTestEliminatesCounter(t *testing.T) {
 	preheader := lp.fp.SymName(lp.fp.Fns[0].Blocks[lp.l.Preheader].Name)
 	opt.FlatEliminateDeadIVs(lp.fp, 0)
 	opt.FlatClean(lp.fp, 0)
-	out := flattest.Unflatten(t, lp.fp).Fns[0]
-	for _, b := range out.Blocks {
-		if b.Name == preheader {
+	ff := &lp.fp.Fns[0]
+	for bi := range ff.Blocks {
+		b := &ff.Blocks[bi]
+		name := lp.fp.SymName(b.Name)
+		if name == preheader {
 			continue // the preheader may still read i's initial value
 		}
-		for _, in := range b.Instrs {
-			if d, ok := in.Def(); ok && d == i {
-				t.Errorf("counter definition survives in %s: %s", b, in)
+		for j := b.InstrStart; j < b.InstrEnd; j++ {
+			if d, ok := ff.Def(j); ok && d == i {
+				t.Errorf("counter definition survives in %s: %+v", name, ff.Instr(j))
 			}
-			if in.UsesReg(i) {
-				t.Errorf("counter use survives in %s: %s", b, in)
+			if ff.UsesReg(j, i) {
+				t.Errorf("counter use survives in %s: %+v", name, ff.Instr(j))
 			}
 		}
 	}

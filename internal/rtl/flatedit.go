@@ -84,39 +84,32 @@ func (f *FlatFn) Def(i int32) (Reg, bool) {
 	return NoReg, false
 }
 
-// SrcSlots invokes fn on a pointer to every source operand slot instruction
-// i actually uses, in Instr.SrcOperands' order and opcode shapes — but
-// without allocating a slice of pointers.
+// SrcSlots invokes fn on a pointer to every present source operand slot of
+// instruction i, in Op.SrcSlots' rule and order (a Call's arguments
+// instead) — without allocating a slice of pointers.
 func (f *FlatFn) SrcSlots(i int32, fn func(o *Operand)) {
 	add := func(o *Operand) {
 		if o.Kind != KindNone {
 			fn(o)
 		}
 	}
-	switch f.Op[i] {
-	case Nop, Jump:
-	case Mov, Neg, Not, Load, Ret:
-		add(&f.A[i])
-	case Branch:
-		add(&f.A[i])
-	case Store:
-		add(&f.A[i])
-		add(&f.B[i])
-	case Extract:
-		add(&f.A[i])
-		add(&f.B[i])
-	case Insert:
-		add(&f.A[i])
-		add(&f.B[i])
-		add(&f.C[i])
-	case Call:
+	op := f.Op[i]
+	if op == Call {
 		c := &f.Calls[f.CallIdx[i]]
 		for ai := c.ArgStart; ai < c.ArgEnd; ai++ {
 			add(&f.Args[ai])
 		}
-	default: // binary ops
+		return
+	}
+	n := op.SrcSlots()
+	if n > 0 {
 		add(&f.A[i])
+	}
+	if n > 1 {
 		add(&f.B[i])
+	}
+	if n > 2 {
+		add(&f.C[i])
 	}
 }
 

@@ -228,18 +228,10 @@ func (in *Instr) Def() (Reg, bool) {
 	return NoReg, false
 }
 
-// SrcOperands returns pointers to every source operand slot the instruction
-// actually uses, enabling in-place substitution by optimization passes.
-func (in *Instr) SrcOperands() []*Operand {
-	var ops []*Operand
-	in.eachSrc(func(o *Operand) { ops = append(ops, o) })
-	return ops
-}
-
 // SrcSlots returns how many of the operand slots A, B and C, in that
 // order, op reads as sources. Call reads its Args instead and reports 0.
-// It is the one operand-source rule: SrcOperands, Uses and the simulator's
-// predecoder all derive from it.
+// It is the one operand-source rule: Fn.Verify, FlatFn.SrcSlots and the
+// simulator's predecoder all derive from it.
 func (op Op) SrcSlots() int {
 	switch op {
 	case Nop, Jump, Call:
@@ -253,8 +245,8 @@ func (op Op) SrcSlots() int {
 	}
 }
 
-// eachSrc calls fn on every present source operand slot, in SrcOperands
-// order, without building the slice.
+// eachSrc calls fn on every present source operand slot: the Args of a
+// Call, otherwise A, B and C in that order.
 func (in *Instr) eachSrc(fn func(o *Operand)) {
 	add := func(o *Operand) {
 		if o.Kind != KindNone {
@@ -278,43 +270,6 @@ func (in *Instr) eachSrc(fn func(o *Operand)) {
 		add(&in.C)
 	}
 }
-
-// Uses appends the registers read by the instruction to dst and returns it.
-func (in *Instr) Uses(dst []Reg) []Reg {
-	in.eachSrc(func(o *Operand) {
-		if o.Kind == KindReg {
-			dst = append(dst, o.Reg)
-		}
-	})
-	return dst
-}
-
-// UsesReg reports whether the instruction reads register r.
-func (in *Instr) UsesReg(r Reg) bool {
-	used := false
-	in.eachSrc(func(o *Operand) {
-		if o.Kind == KindReg && o.Reg == r {
-			used = true
-		}
-	})
-	return used
-}
-
-// ReplaceUses substitutes every use of register from with operand to and
-// returns the number of substitutions made.
-func (in *Instr) ReplaceUses(from Reg, to Operand) int {
-	n := 0
-	for _, o := range in.SrcOperands() {
-		if r, ok := o.IsReg(); ok && r == from {
-			*o = to
-			n++
-		}
-	}
-	return n
-}
-
-// IsMem reports whether the instruction touches memory.
-func (in *Instr) IsMem() bool { return in.Op == Load || in.Op == Store }
 
 // Block is a basic block: zero or more straight-line instructions followed
 // by exactly one terminator.
@@ -350,38 +305,6 @@ func (b *Block) Succs() []*Block {
 		return []*Block{t.Target, t.Else}
 	}
 	return nil
-}
-
-// Append adds an instruction before the terminator if one exists, otherwise
-// at the end.
-func (b *Block) Append(in *Instr) {
-	if t := b.Term(); t != nil {
-		b.Instrs = append(b.Instrs[:len(b.Instrs)-1], in, t)
-		return
-	}
-	b.Instrs = append(b.Instrs, in)
-}
-
-// InsertAt inserts an instruction at index i.
-func (b *Block) InsertAt(i int, in *Instr) {
-	b.Instrs = append(b.Instrs, nil)
-	copy(b.Instrs[i+1:], b.Instrs[i:])
-	b.Instrs[i] = in
-}
-
-// RemoveAt deletes the instruction at index i.
-func (b *Block) RemoveAt(i int) {
-	b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
-}
-
-// Index returns the position of in within the block, or -1.
-func (b *Block) Index(in *Instr) int {
-	for i, x := range b.Instrs {
-		if x == in {
-			return i
-		}
-	}
-	return -1
 }
 
 func (b *Block) String() string {

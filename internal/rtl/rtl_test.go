@@ -45,6 +45,9 @@ func TestOperandAccessors(t *testing.T) {
 	}
 }
 
+// TestInstrDefUses checks the operand-source rule: Instr.Def and the flat
+// form's Def and SrcSlots agree on what each instruction shape defines and
+// reads.
 func TestInstrDefUses(t *testing.T) {
 	cases := []struct {
 		in     *Instr
@@ -61,63 +64,38 @@ func TestInstrDefUses(t *testing.T) {
 		{InsertI(6, R(1), R(2), C(3), W1), 6, true, []Reg{1, 2}},
 		{CallI(7, "f", R(1), C(2), R(3)), 7, true, []Reg{1, 3}},
 	}
+	fn := NewFn("t", 0)
 	for _, tc := range cases {
+		fn.Entry().Instrs = append(fn.Entry().Instrs, tc.in)
+	}
+	fp, err := Flatten(NewProgram(fn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &fp.Fns[0]
+	for i, tc := range cases {
 		d, ok := tc.in.Def()
 		if ok != tc.hasDef || (ok && d != tc.def) {
 			t.Errorf("%s: Def() = %v,%v want %v,%v", tc.in, d, ok, tc.def, tc.hasDef)
 		}
-		uses := tc.in.Uses(nil)
+		if fd, fok := ff.Def(int32(i)); fd != d || fok != ok {
+			t.Errorf("%s: FlatFn.Def = %v,%v, want %v,%v", tc.in, fd, fok, d, ok)
+		}
+		var uses []Reg
+		ff.SrcSlots(int32(i), func(o *Operand) {
+			if r, ok := o.IsReg(); ok {
+				uses = append(uses, r)
+			}
+		})
 		if len(uses) != len(tc.uses) {
-			t.Errorf("%s: Uses() = %v, want %v", tc.in, uses, tc.uses)
+			t.Errorf("%s: SrcSlots registers = %v, want %v", tc.in, uses, tc.uses)
 			continue
 		}
-		for i := range uses {
-			if uses[i] != tc.uses[i] {
-				t.Errorf("%s: Uses()[%d] = %v, want %v", tc.in, i, uses[i], tc.uses[i])
+		for j := range uses {
+			if uses[j] != tc.uses[j] {
+				t.Errorf("%s: SrcSlots register %d = %v, want %v", tc.in, j, uses[j], tc.uses[j])
 			}
 		}
-	}
-}
-
-func TestReplaceUses(t *testing.T) {
-	in := BinI(Add, 3, R(1), R(1))
-	if n := in.ReplaceUses(1, C(42)); n != 2 {
-		t.Errorf("ReplaceUses = %d, want 2", n)
-	}
-	if _, ok := in.A.IsConst(); !ok {
-		t.Error("A not replaced")
-	}
-	// The destination must not be touched.
-	in2 := BinI(Add, 1, R(1), C(2))
-	in2.ReplaceUses(1, R(9))
-	if in2.Dst != 1 {
-		t.Error("destination register must not be rewritten by ReplaceUses")
-	}
-}
-
-func TestBlockEditing(t *testing.T) {
-	f := NewFn("t", 0)
-	b := f.Entry()
-	r := f.NewReg()
-	b.Instrs = append(b.Instrs, MovI(r, C(1)), RetI(R(r)))
-	ins := MovI(f.NewReg(), C(2))
-	b.Append(ins)
-	if b.Instrs[1] != ins {
-		t.Error("Append must insert before the terminator")
-	}
-	if b.Term() == nil || b.Term().Op != Ret {
-		t.Error("terminator lost")
-	}
-	if i := b.Index(ins); i != 1 {
-		t.Errorf("Index = %d, want 1", i)
-	}
-	b.InsertAt(0, MovI(f.NewReg(), C(3)))
-	if v, _ := b.Instrs[0].A.IsConst(); v != 3 {
-		t.Error("InsertAt(0) failed")
-	}
-	b.RemoveAt(0)
-	if v, _ := b.Instrs[0].A.IsConst(); v != 1 {
-		t.Error("RemoveAt(0) failed")
 	}
 }
 

@@ -58,8 +58,6 @@ func (f *Fn) Verify() error {
 					return fmt.Errorf("%s: dst: %w", where(i, in), err)
 				}
 			}
-			// eachSrc, unlike SrcOperands, builds no slice: Verify runs
-			// twice per compile, once per instruction.
 			var srcErr error
 			in.eachSrc(func(o *Operand) {
 				if srcErr == nil {

@@ -7,92 +7,54 @@ import (
 	"macc/internal/rtl"
 )
 
-// Entry points for the list scheduler. A block body is decoded into a
-// reusable scratch slab of rtl.Instr values and fed through the DAG
-// build/order/makespan in sched.go — the permutation is then scattered back
-// into the dense arrays. Decode+scatter is linear and allocation-free once
-// the scratch is warm.
+// Entry points for the list scheduler. The DAG build/order/makespan in
+// sched.go reads a block body straight from the dense arrays; the
+// permutation is then scattered back. Both are linear and allocation-free
+// once the scratch is warm.
 
-// FlatScratch holds reusable decode buffers and DAG arrays for flat
+// FlatScratch holds the reusable DAG arrays and permutation buffer for flat
 // scheduling calls.
 type FlatScratch struct {
-	instrs []rtl.Instr
-	views  []*rtl.Instr
-	fis    []rtl.FlatInstr
-	dag    dag
+	fis []rtl.FlatInstr
+	dag dag
 }
 
-// decodeBody materializes block bi's body (terminator excluded) into the
-// scratch and returns the instruction views plus the terminator index (-1
-// when the block has none). Call argument slices alias the flat arrays —
-// the DAG only reads them.
-func (sc *FlatScratch) decodeBody(f *rtl.FlatFn, bi int32) ([]*rtl.Instr, int32) {
+// bodyOf returns the start and length of block bi's body (terminator
+// excluded) and the terminator's latency (0 when the block has none).
+func bodyOf(f *rtl.FlatFn, bi int32, m *machine.Machine) (start int32, n int, term int) {
 	b := &f.Blocks[bi]
 	end := b.InstrEnd
-	ti := int32(-1)
 	if end > b.InstrStart && f.Op[end-1].IsTerminator() {
-		ti = end - 1
 		end--
+		term = m.Sched.Of(f.Op[end], f.Width[end])
 	}
-	n := int(end - b.InstrStart)
-	if cap(sc.instrs) < n {
-		sc.instrs = make([]rtl.Instr, n)
-		sc.views = make([]*rtl.Instr, n)
-	}
-	sc.instrs = sc.instrs[:n]
-	sc.views = sc.views[:n]
-	for j := 0; j < n; j++ {
-		i := b.InstrStart + int32(j)
-		in := &sc.instrs[j]
-		*in = rtl.Instr{
-			Op: f.Op[i], Dst: f.Dst[i], A: f.A[i], B: f.B[i], C: f.C[i],
-			Width: f.Width[i], Signed: f.Signed[i], Disp: f.Disp[i],
-		}
-		if ci := f.CallIdx[i]; ci >= 0 {
-			c := &f.Calls[ci]
-			in.Args = f.Args[c.ArgStart:c.ArgEnd]
-		}
-		sc.views[j] = in
-	}
-	return sc.views, ti
+	return b.InstrStart, int(end - b.InstrStart), term
 }
 
 // EstimateFlat returns the scheduled cycle count of block bi without
 // modifying it.
 func EstimateFlat(f *rtl.FlatFn, bi int32, m *machine.Machine, sc *FlatScratch) int {
-	body, ti := sc.decodeBody(f, bi)
-	_, _, cycles := sc.dag.schedule(body, m)
-	if ti >= 0 {
-		var term rtl.Instr
-		term.Op = f.Op[ti]
-		cycles += m.Sched.Of(&term)
-	}
-	return cycles
+	start, n, term := bodyOf(f, bi, m)
+	_, cycles := sc.dag.schedule(f, start, n, m)
+	return cycles + term
 }
 
 // ScheduleFlat reorders block bi's body in place in the dense arrays
 // according to the list schedule and returns the estimated cycle count.
 func ScheduleFlat(f *rtl.FlatFn, bi int32, m *machine.Machine, sc *FlatScratch) int {
-	body, ti := sc.decodeBody(f, bi)
-	_, ord, cycles := sc.dag.schedule(body, m)
-	b := &f.Blocks[bi]
-	n := len(body)
+	start, n, term := bodyOf(f, bi, m)
+	ord, cycles := sc.dag.schedule(f, start, n, m)
 	if cap(sc.fis) < n {
 		sc.fis = make([]rtl.FlatInstr, n)
 	}
 	sc.fis = sc.fis[:n]
-	for j := 0; j < n; j++ {
-		sc.fis[j] = f.Instr(b.InstrStart + int32(j))
+	for j := range sc.fis {
+		sc.fis[j] = f.Instr(start + int32(j))
 	}
 	for pos, j := range ord {
-		f.SetInstr(b.InstrStart+int32(pos), sc.fis[j])
+		f.SetInstr(start+int32(pos), sc.fis[j])
 	}
-	if ti >= 0 {
-		var term rtl.Instr
-		term.Op = f.Op[ti]
-		cycles += m.Sched.Of(&term)
-	}
-	return cycles
+	return cycles + term
 }
 
 var scratches = sync.Pool{New: func() any { return new(FlatScratch) }}

@@ -12,8 +12,9 @@ import (
 )
 
 type node struct {
-	in       *rtl.Instr
 	idx      int
+	lat      int // result latency under the scheduler's cost table
+	occ      int // issue slots held on a pipelined machine
 	preds    []pred
 	nsucc    []int
 	priority int // longest latency path to any sink
@@ -52,17 +53,30 @@ func (d *dag) track(r rtl.Reg) {
 	d.touched = append(d.touched, r)
 }
 
-// build constructs dependence edges over the block body (terminator
-// excluded): register RAW/WAR/WAW, memory ordering with base+displacement
-// disambiguation, and call barriers.
-func (d *dag) build(instrs []*rtl.Instr, costs *machine.Costs) []node {
-	n := len(instrs)
+// uses sets d.regs to the registers instruction i of f reads.
+func (d *dag) uses(f *rtl.FlatFn, i int32) {
+	d.regs = d.regs[:0]
+	f.SrcSlots(i, func(o *rtl.Operand) {
+		if o.Kind == rtl.KindReg {
+			d.regs = append(d.regs, o.Reg)
+		}
+	})
+}
+
+// build constructs dependence edges over the n instructions of f starting
+// at start (a block body, terminator excluded): register RAW/WAR/WAW,
+// memory ordering with base+displacement disambiguation, and call barriers.
+// Node j is instruction start+j.
+func (d *dag) build(f *rtl.FlatFn, start int32, n int, costs *machine.Costs) []node {
 	if cap(d.nodes) < n {
 		d.nodes = append(d.nodes[:cap(d.nodes)], make([]node, n-cap(d.nodes))...)
 	}
 	nodes := d.nodes[:n]
-	for i, in := range instrs {
-		nodes[i] = node{in: in, idx: i, preds: nodes[i].preds[:0], nsucc: nodes[i].nsucc[:0]}
+	for j := range nodes {
+		i := start + int32(j)
+		op, w := f.Op[i], f.Width[i]
+		nodes[j] = node{idx: j, lat: costs.Of(op, w), occ: costs.OccOf(op, w),
+			preds: nodes[j].preds[:0], nsucc: nodes[j].nsucc[:0]}
 	}
 	addEdge := func(from, to, lat int) {
 		if from == to {
@@ -77,9 +91,9 @@ func (d *dag) build(instrs []*rtl.Instr, costs *machine.Costs) []node {
 		d.lastUses[r] = d.lastUses[r][:0]
 	}
 	d.touched = d.touched[:0]
-	for _, in := range instrs {
-		d.regs = in.Uses(d.regs[:0])
-		if dst, ok := in.Def(); ok {
+	for j := 0; j < n; j++ {
+		d.uses(f, start+int32(j))
+		if dst, ok := f.Def(start + int32(j)); ok {
 			d.regs = append(d.regs, dst)
 		}
 		for _, r := range d.regs {
@@ -92,33 +106,35 @@ func (d *dag) build(instrs []*rtl.Instr, costs *machine.Costs) []node {
 
 	defsBetween := func(r rtl.Reg, i, j int) bool {
 		for k := i + 1; k <= j; k++ {
-			if d, ok := instrs[k].Def(); ok && d == r {
+			if d, ok := f.Def(start + int32(k)); ok && d == r {
 				return true
 			}
 		}
 		return false
 	}
-	overlaps := func(a, b *rtl.Instr) bool {
-		ra, okA := a.A.IsReg()
-		rb, okB := b.A.IsReg()
+	overlaps := func(a, b int32) bool {
+		ra, okA := f.A[a].IsReg()
+		rb, okB := f.A[b].IsReg()
 		if !okA || !okB || ra != rb {
 			return true // different or unknown bases: assume aliasing
 		}
-		aLo, aHi := a.Disp, a.Disp+int64(a.Width)
-		bLo, bHi := b.Disp, b.Disp+int64(b.Width)
+		aLo, aHi := f.Disp[a], f.Disp[a]+int64(f.Width[a])
+		bLo, bHi := f.Disp[b], f.Disp[b]+int64(f.Width[b])
 		return aLo < bHi && bLo < aHi
 	}
 
-	for i, in := range instrs {
+	for i := 0; i < n; i++ {
+		fi := start + int32(i)
+		op := f.Op[fi]
 		// Register RAW edges.
-		d.regs = in.Uses(d.regs[:0])
+		d.uses(f, fi)
 		for _, r := range d.regs {
 			if di := lastDef[r]; di >= 0 {
-				addEdge(di, i, costs.Of(instrs[di]))
+				addEdge(di, i, nodes[di].lat)
 			}
 		}
 		// Register WAR and WAW edges.
-		dst, hasDef := in.Def()
+		dst, hasDef := f.Def(fi)
 		if hasDef {
 			for _, ui := range lastUses[dst] {
 				addEdge(ui, i, 0)
@@ -128,7 +144,7 @@ func (d *dag) build(instrs []*rtl.Instr, costs *machine.Costs) []node {
 			}
 		}
 		// Memory ordering.
-		if in.Op == rtl.Call {
+		if op == rtl.Call {
 			for _, mi := range d.memOps {
 				addEdge(mi, i, 0)
 			}
@@ -137,26 +153,27 @@ func (d *dag) build(instrs []*rtl.Instr, costs *machine.Costs) []node {
 			}
 			lastBarrier = i
 		}
-		if lastBarrier >= 0 && in.IsMem() {
+		isMem := f.IsMem(fi)
+		if lastBarrier >= 0 && isMem {
 			addEdge(lastBarrier, i, 0)
 		}
-		if in.IsMem() {
+		if isMem {
 			for _, mi := range d.memOps {
-				prev := instrs[mi]
-				if prev.Op == rtl.Load && in.Op == rtl.Load {
+				prev := start + int32(mi)
+				if f.Op[prev] == rtl.Load && op == rtl.Load {
 					continue // loads commute
 				}
 				// A store is involved: keep order unless provably disjoint.
-				if br, ok := in.A.IsReg(); ok {
-					if pbr, ok2 := prev.A.IsReg(); ok2 && br == pbr && defsBetween(br, mi, i) {
+				if br, ok := f.A[fi].IsReg(); ok {
+					if pbr, ok2 := f.A[prev].IsReg(); ok2 && br == pbr && defsBetween(br, mi, i) {
 						addEdge(mi, i, 0) // base changed: cannot disambiguate
 						continue
 					}
 				}
-				if overlaps(prev, in) {
+				if overlaps(prev, fi) {
 					lat := 0
-					if prev.Op == rtl.Store && in.Op == rtl.Load {
-						lat = costs.Of(prev) // store-to-load forwarding delay
+					if f.Op[prev] == rtl.Store && op == rtl.Load {
+						lat = nodes[mi].lat // store-to-load forwarding delay
 					}
 					addEdge(mi, i, lat)
 				}
@@ -177,11 +194,11 @@ func (d *dag) build(instrs []*rtl.Instr, costs *machine.Costs) []node {
 	// Priorities: longest path (by latency) to a sink, computed backwards.
 	for i := n - 1; i >= 0; i-- {
 		nd := &nodes[i]
-		nd.priority = costs.Of(nd.in)
+		nd.priority = nd.lat
 		for _, s := range nd.nsucc {
 			// Edge latency is stored on the successor's pred entry; use the
 			// conservative producer latency for the path metric.
-			if p := nodes[s].priority + costs.Of(nd.in); p > nd.priority {
+			if p := nodes[s].priority + nd.lat; p > nd.priority {
 				nd.priority = p
 			}
 		}
@@ -230,7 +247,7 @@ func (d *dag) order(nodes []node) []int {
 
 // makespan simulates in-order single-issue execution of the given order and
 // returns the cycle count, mirroring the simulator's pipeline model.
-func (d *dag) makespan(nodes []node, ord []int, costs *machine.Costs, pipelined bool) int {
+func (d *dag) makespan(nodes []node, ord []int, pipelined bool) int {
 	d.issueAt = append(d.issueAt[:0], make([]int, len(nodes))...)
 	issueAt := d.issueAt
 	clock := 0
@@ -244,19 +261,19 @@ func (d *dag) makespan(nodes []node, ord []int, costs *machine.Costs, pipelined 
 		}
 		issueAt[i] = start
 		if pipelined {
-			clock = start + costs.OccOf(nd.in)
+			clock = start + nd.occ
 		} else {
-			clock = start + costs.Of(nd.in)
+			clock = start + nd.lat
 		}
 	}
 	// Account for the block's terminator/branch overhead.
 	return clock
 }
 
-// schedule builds the block's DAG, orders it, and returns the order with
-// its cycle count (terminator excluded).
-func (d *dag) schedule(body []*rtl.Instr, m *machine.Machine) ([]node, []int, int) {
-	nodes := d.build(body, &m.Sched)
+// schedule builds the DAG of the n instructions at start, orders it, and
+// returns the order with its cycle count (terminator excluded).
+func (d *dag) schedule(f *rtl.FlatFn, start int32, n int, m *machine.Machine) ([]int, int) {
+	nodes := d.build(f, start, n, &m.Sched)
 	ord := d.order(nodes)
-	return nodes, ord, d.makespan(nodes, ord, &m.Sched, m.Pipelined)
+	return ord, d.makespan(nodes, ord, m.Pipelined)
 }
