@@ -79,9 +79,12 @@ func Bisect(rp *rtl.Program, fi int, passes []FlatPass, bad Predicate) (BisectRe
 // Behavior fingerprints the observable behaviour of entry in prog: for each
 // argument set it runs the simulator over a deterministically seeded memory
 // image and folds the return value and final memory into the fingerprint.
-// Two programs with equal fingerprints returned the same values and left
-// memory bit-identical on every run; any simulator trap is returned as an
-// error. This is the divergence oracle differential predicates are built on.
+// Spill frames are not observable: the bytes they reached are reset to the
+// seed pattern before hashing, so register allocation alone never changes
+// a fingerprint. Two programs with equal fingerprints returned the same
+// values and left memory outside the frames bit-identical on every run; any
+// simulator trap is returned as an error. This is the divergence oracle
+// differential predicates are built on.
 func Behavior(prog *rtl.Program, m *machine.Machine, memBytes int, entry string, argSets [][]int64) (string, error) {
 	return behavior(func() *sim.Sim { return sim.New(prog, m, memBytes) }, entry, argSets)
 }
@@ -96,13 +99,17 @@ func behavior(newSim func() *sim.Sim, entry string, argSets [][]int64) (string, 
 	for _, args := range argSets {
 		s := newSim()
 		s.Fuel = 1 << 26
-		for i := range s.Mem {
-			s.Mem[i] = byte(i * 7)
+		seed := func(lo int) {
+			for i := lo; i < len(s.Mem); i++ {
+				s.Mem[i] = byte(i * 7)
+			}
 		}
+		seed(0)
 		res, err := s.Run(entry, args...)
 		if err != nil {
 			return "", fmt.Errorf("args %v: %w", args, err)
 		}
+		seed(int(s.FrameLow()))
 		fmt.Fprintf(h, "%v->%d;", args, res.Ret)
 		h.Write(s.Mem)
 	}

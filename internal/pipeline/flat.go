@@ -23,12 +23,12 @@ type FlatPass struct {
 }
 
 // RunFlat executes the passes over function fi of fp. Each pass runs under
-// panic recovery and, unless NoVerify is set, is followed by a VerifyFn
-// checkpoint. On failure the function is restored from the flat snapshot
-// advanced after the last good pass — a restore copies array ranges, and
-// committing a pass recaptures the arrays and counts the blocks it changed;
-// in Strict mode the *PassError is returned instead and the function is
-// left rolled back to that same snapshot.
+// panic recovery and is followed by a VerifyFn checkpoint. On failure the
+// function is restored from the flat snapshot advanced after the last good
+// pass — a restore copies array ranges, and committing a pass recaptures
+// the arrays and counts the blocks it changed; in Strict mode the
+// *PassError is returned instead and the function is left rolled back to
+// that same snapshot.
 func RunFlat(fp *rtl.FlatProgram, fi int, passes []FlatPass, opts Options) error {
 	f := &fp.Fns[fi]
 	fnName := fp.Syms[f.Name]
@@ -38,7 +38,7 @@ func RunFlat(fp *rtl.FlatProgram, fi int, passes []FlatPass, opts Options) error
 			opts.Recorder.BeginPass(p.Name, fnName, f.NumInstrs(), len(f.Blocks))
 		}
 		perr := runOneFlat(p, fp, fi, fnName)
-		if perr == nil && !opts.NoVerify {
+		if perr == nil {
 			if verr := fp.VerifyFn(fi); verr != nil {
 				perr = &PassError{Pass: p.Name, Fn: fnName, Err: verr}
 			}

@@ -27,9 +27,6 @@ type Options struct {
 	// (today's fail-fast behaviour). The default rolls the function back
 	// and continues with the remaining passes.
 	Strict bool
-	// NoVerify skips the post-pass verification checkpoints; panics are
-	// still recovered. Used by probes that apply their own predicate.
-	NoVerify bool
 	// OnPass, when non-nil, observes function fi of fp after each
 	// successful pass (the -dump hook).
 	OnPass func(name string, fp *rtl.FlatProgram, fi int)

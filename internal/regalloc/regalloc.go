@@ -13,11 +13,14 @@
 //   - register k-1 is the frame pointer when spills exist (FlatFn.FrameReg);
 //     spill slots live at [FP+0, FP+8, ...] and FlatFn.FrameBytes reports the
 //     frame size the simulator must reserve;
-//   - registers k-2 and k-3 are scratch for spill reloads.
+//   - registers k-2, k-3, ... are scratch for spill reloads: two, or as
+//     many as the most spilled registers one instruction reads (a call
+//     whose arguments spilled), each reload needing its own.
 package regalloc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"macc/internal/cfg"
@@ -46,21 +49,36 @@ type interval struct {
 }
 
 // RunFlat rewrites function fi of fp to use at most k physical registers,
-// inserting spill code as needed. Parameters must number at most k-4.
+// inserting spill code as needed. Parameters must number at most k-4, and
+// fewer when an instruction reads more than two spilled registers.
 func RunFlat(fp *rtl.FlatProgram, fi int, k int) (Stats, error) {
 	f := &fp.Fns[fi]
 	if k < MinRegs {
 		return Stats{}, fmt.Errorf("regalloc: need at least %d registers, have %d", MinRegs, k)
 	}
-	if len(f.Params) > k-4 {
-		return Stats{}, fmt.Errorf("regalloc: %d parameters exceed %d-register convention", len(f.Params), k)
-	}
 	frameReg := rtl.Reg(k - 1)
-	scratch := [2]rtl.Reg{rtl.Reg(k - 2), rtl.Reg(k - 3)}
-	allocatable := k - 3
-
 	ivs, loc := buildIntervals(fp, fi)
-	assignLocations(ivs, allocatable)
+	// Reserve two reload registers; when the scan leaves an instruction
+	// reading more spilled registers than that, redo it with more reserved.
+	// The reserve only grows, so this ends.
+	nscratch := 2
+	for {
+		allocatable := k - 1 - nscratch
+		if len(f.Params) >= allocatable {
+			return Stats{}, fmt.Errorf("regalloc: %d parameters and %d reload registers exceed %d-register convention",
+				len(f.Params), nscratch, k)
+		}
+		assignLocations(ivs, allocatable)
+		need := reloadsNeeded(f, loc)
+		if need <= nscratch {
+			break
+		}
+		nscratch = need
+	}
+	scratch := make([]rtl.Reg, nscratch)
+	for i := range scratch {
+		scratch[i] = rtl.Reg(k - 2 - i)
+	}
 
 	spilled := 0
 	maxSlot := -1
@@ -146,8 +164,12 @@ func buildIntervals(fp *rtl.FlatProgram, fi int) ([]*interval, []*interval) {
 
 // assignLocations runs the linear scan: pinned intervals take their
 // pre-colored registers, others take free registers, and when none is free
-// the interval with the furthest end is spilled.
+// the interval with the furthest end is spilled. Earlier assignments are
+// discarded.
 func assignLocations(ivs []*interval, allocatable int) {
+	for _, iv := range ivs {
+		iv.phys, iv.slot = rtl.NoReg, 0
+	}
 	free := make([]bool, allocatable)
 	for i := range free {
 		free[i] = true
@@ -227,11 +249,31 @@ func assignLocations(ivs []*interval, allocatable int) {
 	}
 }
 
+// reloadsNeeded returns the most distinct spilled registers one instruction
+// of f reads: each is reloaded into its own scratch register.
+func reloadsNeeded(f *rtl.FlatFn, loc []*interval) int {
+	most := 0
+	var seen []rtl.Reg
+	for i := int32(0); i < int32(f.NumInstrs()); i++ {
+		seen = seen[:0]
+		f.SrcSlots(i, func(o *rtl.Operand) {
+			if o.Kind != rtl.KindReg || slices.Contains(seen, o.Reg) {
+				return
+			}
+			if iv := loc[o.Reg]; iv != nil && iv.phys == rtl.NoReg {
+				seen = append(seen, o.Reg)
+			}
+		})
+		most = max(most, len(seen))
+	}
+	return most
+}
+
 // rewrite renames every operand to its physical register, or routes it
 // through a scratch register with a reload/store when spilled. Blocks
 // without spill code are renamed in place; the others are re-spliced with
 // their reloads and stores.
-func rewrite(f *rtl.FlatFn, loc []*interval, frameReg rtl.Reg, scratch [2]rtl.Reg) {
+func rewrite(f *rtl.FlatFn, loc []*interval, frameReg rtl.Reg, scratch []rtl.Reg) {
 	type held struct{ vreg, s rtl.Reg }
 	var out []rtl.FlatInstr
 	var seen []held // spilled sources of one instruction already reloaded

@@ -155,6 +155,7 @@ type Sim struct {
 	fuel     int64                   // fuel left in the current Run
 	stats    *Stats
 	stackTop int64 // grows down from the top of memory for spill frames
+	frameLow int64 // lowest stackTop of the current Run
 	frames   frameCache
 	argbuf   []int64 // a Call's argument values, copied into the callee's frame
 
@@ -406,6 +407,7 @@ func (s *Sim) Run(fnName string, args ...int64) (Result, error) {
 		}
 	}
 	s.stackTop = int64(len(s.Mem))
+	s.frameLow = s.stackTop
 	s.loadGlobals()
 	st := newStats()
 	s.stats = &st
@@ -425,6 +427,11 @@ func (s *Sim) Run(fnName string, args ...int64) (Result, error) {
 	}
 	return Result{Ret: ret, Stats: st}, nil
 }
+
+// FrameLow returns the lowest address a spill frame reached in the last
+// Run: frames occupy [FrameLow, len(Mem)), and FrameLow is len(Mem) when the
+// run used none.
+func (s *Sim) FrameLow() int64 { return s.frameLow }
 
 // foldWidths moves the array-indexed per-width counters into the Stats maps
 // and totals.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"macc"
+	"macc/internal/bench"
 	"macc/internal/faultinject"
 	"macc/internal/pipeline"
 )
@@ -153,5 +154,47 @@ func TestStrictDefaultOff(t *testing.T) {
 	}
 	if !prog.Diagnostics.Degraded() {
 		t.Error("expected a recorded incident")
+	}
+}
+
+// TestBisectIgnoresSpillFrames: with a register file small enough that the
+// allocator spills, the spill frame's bytes differ from the unoptimized
+// build's memory, but they are not program behaviour — bisection over the
+// healthy pipeline must find no culprit.
+func TestBisectIgnoresSpillFrames(t *testing.T) {
+	cases := []struct {
+		name, src string
+		args      []int64
+	}{
+		{"imageadd", bench.ImageAddSrc, []int64{4096, 8192, 12288, 100}},
+		{"convolution", bench.ConvolutionSrc, []int64{4096, 16384, 40, 30}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			unopt, err := macc.Compile(c.src, macc.Config{Optimize: false})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := macc.DefaultConfig()
+			cfg.Registers = 8
+			prog, err := macc.Compile(c.src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f, _ := prog.Fn(c.name); f.FrameBytes == 0 {
+				t.Fatalf("%s did not spill at 8 registers; the test needs a spill frame", c.name)
+			}
+			bad, err := macc.DifferentialPredicate(unopt.RTL, c.name, cfg, resilienceMem, [][]int64{c.args})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := macc.Bisect(unopt.RTL, c.name, cfg, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Found() {
+				t.Fatalf("healthy pipeline with spills accused %v", res)
+			}
+		})
 	}
 }
